@@ -21,8 +21,7 @@
 //   --orient              run cell-orientation optimization after DP
 //   --trace <file.csv>    dump the per-iteration L/Phi/Pi trace
 //   --stats               print the QP workspace breakdown (assembly vs
-//                         solve wall time, sparsity-pattern hit rate, CG
-//                         iteration totals)
+//                         solve wall time, CG iteration totals)
 //   --svg <file.svg>      render the final placement
 //   --seed-quiet          lower log verbosity
 //   --snapshot <file>     experience store (io/experience.h): a crash-safe
@@ -303,14 +302,8 @@ int main(int argc, char** argv) {
                 gp.solver.breakdowns, gp.recovered, gp.health.faults);
     if (stats) {
       const SolverStats& s = gp.solver;
-      const size_t assemblies = s.pattern_hits + s.pattern_misses;
-      std::printf("qp workspace: assembly %.3fs, solve %.3fs, "
-                  "pattern hits %zu/%zu (%.1f%% hit rate)\n",
-                  s.assembly_s, s.solve_s, s.pattern_hits, assemblies,
-                  assemblies == 0
-                      ? 0.0
-                      : 100.0 * static_cast<double>(s.pattern_hits) /
-                            static_cast<double>(assemblies));
+      std::printf("qp workspace: assembly %.3fs, solve %.3fs\n",
+                  s.assembly_s, s.solve_s);
       std::printf("cg: %zu iterations total (%.1f per solve), "
                   "worst residual %.3g\n",
                   s.total_cg_iterations,

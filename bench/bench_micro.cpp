@@ -67,10 +67,8 @@ BENCHMARK(BM_QpSolve)->Arg(2000)->Arg(8000)->Arg(32000)
 
 void BM_QpSolveWorkspace(benchmark::State& state) {
   // Same per-iteration work as BM_QpSolve, but through the placer's
-  // iteration-persistent workspace: triplet/CSR/PCG/spring buffers survive
-  // across iterations and the CSR sort/merge is skipped whenever the B2B
-  // topology repeats (the iterate converges toward the quadratic fixed
-  // point, so steady state is mostly pattern hits — reported as hit_rate).
+  // iteration-persistent workspace: spring-record/CSR/PCG/spring buffers
+  // keep their capacity across iterations, so none is reallocated.
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const VarMap vars(nl);
   Placement p = nl.snapshot();
@@ -78,7 +76,6 @@ void BM_QpSolveWorkspace(benchmark::State& state) {
   opts.b2b.min_separation = nl.average_movable_width();
   QpWorkspace ws;
   for (auto _ : state) solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  state.counters["hit_rate"] = ws.stats.hit_rate();
   state.counters["assembly_s"] = ws.stats.assembly_s;
   state.counters["solve_s"] = ws.stats.solve_s;
   state.SetItemsProcessed(state.iterations() *
@@ -89,11 +86,8 @@ BENCHMARK(BM_QpSolveWorkspace)->Arg(2000)->Arg(8000)->Arg(32000)
 
 void BM_QpSolveStableTopology(benchmark::State& state) {
   // Steady-state regime of the primal-dual loop: the linearization point is
-  // frozen and only the anchor pseudonets (λ) change — diagonal + RHS, never
-  // the sparsity pattern. Arg 1 selects the workspace path, which turns
-  // every iteration after the first into a pattern hit; Arg 0 re-derives the
-  // whole system each time. Strong anchors keep PCG short (warm start ==
-  // near-solution), so assembly dominates — the regime the cache targets.
+  // frozen and only the anchor pseudonets (λ) change. Strong anchors keep
+  // PCG short (warm start == near-solution), so assembly dominates.
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const VarMap vars(nl);
   const Placement start = nl.snapshot();
@@ -106,30 +100,51 @@ void BM_QpSolveStableTopology(benchmark::State& state) {
   }
   QpOptions opts;
   opts.b2b.min_separation = nl.average_movable_width();
-  const bool use_workspace = state.range(1) != 0;
   QpWorkspace ws;
   Placement p = start;
   for (auto _ : state) {
-    p = start;  // same linearization point every iteration (both variants)
-    solve_qp_iteration(nl, vars, p, &anchors, opts,
-                       use_workspace ? &ws : nullptr);
+    p = start;  // same linearization point every iteration
+    solve_qp_iteration(nl, vars, p, &anchors, opts, &ws);
   }
-  if (use_workspace) state.counters["hit_rate"] = ws.stats.hit_rate();
+  state.counters["assembly_s"] = ws.stats.assembly_s;
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_movable()));
 }
-BENCHMARK(BM_QpSolveStableTopology)
-    ->Args({2000, 0})->Args({2000, 1})
-    ->Args({8000, 0})->Args({8000, 1})
-    ->Args({32000, 0})->Args({32000, 1})
+BENCHMARK(BM_QpSolveStableTopology)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 
-/// Placement-shaped triplets (~8 nnz per variable: chain + random springs +
-/// anchor diagonal); same seed => same pattern, so the cached path hits.
+void BM_QpSolveFrozenMajority(benchmark::State& state) {
+  // The ECO shape: nine in ten movable cells flipped to Fixed, as
+  // eco_replace does outside its window. Only the nets with a movable pin
+  // (VarMap::active_nets) are modeled, so a step costs in proportion to the
+  // window, not the design; the active_nets counter shows the share left.
+  Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
+  const std::vector<CellId> movable = nl.movable_cells();
+  for (size_t k = 0; k < movable.size(); ++k)
+    if (k % 10 != 0) nl.cell(movable[k]).kind = CellKind::Fixed;
+  nl.refinalize();
+  const VarMap vars(nl);
+  Placement p = nl.snapshot();
+  QpOptions opts;
+  opts.b2b.min_separation = nl.average_movable_width();
+  QpWorkspace ws;
+  for (auto _ : state) solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
+  state.counters["active_nets"] =
+      static_cast<double>(vars.active_nets.size()) /
+      static_cast<double>(nl.num_nets());
+  state.counters["assembly_s"] = ws.stats.assembly_s;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(nl.num_movable()));
+}
+BENCHMARK(BM_QpSolveFrozenMajority)->Arg(2000)->Arg(8000)->Arg(32000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Placement-shaped system (~8 nnz per variable: chain + random springs +
+/// anchor diagonal).
 TripletList assembly_triplets(size_t n) {
   Rng rng(99);
   TripletList t(n);
-  t.reserve(8 * n);
+  t.reserve(3 * n);
   for (size_t i = 0; i + 1 < n; ++i)
     t.add_spring(i, i + 1, rng.uniform(0.5, 2.0));
   for (size_t k = 0; k < 2 * n; ++k) {
@@ -140,32 +155,20 @@ TripletList assembly_triplets(size_t n) {
   return t;
 }
 
-void BM_CsrAssemblyFresh(benchmark::State& state) {
-  // Full build every time: counting pass, per-row stable sort, merge.
-  // invalidate() keeps buffer capacity, so this isolates the structural
-  // work the pattern cache elides (not allocator noise).
+void BM_CsrAssembly(benchmark::State& state) {
+  // Spring records → CSR: count, row scatter, transpose with duplicate
+  // merge, compaction. The matrix's buffers keep their capacity between
+  // calls, so this isolates the conversion work from allocator noise.
   const TripletList t = assembly_triplets(static_cast<size_t>(state.range(0)));
-  CsrAssembler a;
+  CsrMatrix m;
   for (auto _ : state) {
-    a.invalidate();
-    benchmark::DoNotOptimize(a.assemble(t));
+    m.assemble(t);
+    benchmark::DoNotOptimize(m.val().data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(t.entries()));
+                          static_cast<int64_t>(t.springs().size()));
 }
-BENCHMARK(BM_CsrAssemblyFresh)->Arg(2000)->Arg(8000)->Arg(32000);
-
-void BM_CsrAssemblyCached(benchmark::State& state) {
-  // Pattern hit every iteration: in-place revalue replaying the recorded
-  // accumulation schedule — bitwise identical to the fresh build above.
-  const TripletList t = assembly_triplets(static_cast<size_t>(state.range(0)));
-  CsrAssembler a;
-  a.assemble(t);  // prime the pattern cache
-  for (auto _ : state) benchmark::DoNotOptimize(a.assemble(t));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(t.entries()));
-}
-BENCHMARK(BM_CsrAssemblyCached)->Arg(2000)->Arg(8000)->Arg(32000);
+BENCHMARK(BM_CsrAssembly)->Arg(2000)->Arg(8000)->Arg(32000);
 
 void BM_DensityBuild(benchmark::State& state) {
   const Netlist nl = make_circuit(8000);

@@ -16,9 +16,10 @@
 // When the window covers every movable cell the code path IS a full solve
 // (plain ComplxPlacer::place()) — not an approximation of one — so
 // eco(everything) equals place() bitwise by construction; a regression
-// test pins this. The solve reuses the caches a full solve would: the B2B
-// sparsity-pattern cache keyed by the (temporarily re-finalized) netlist
-// and the projection's summed-area capacity tables.
+// test pins this. The frozen cells become fixed terminals of the
+// re-finalized netlist, so the QP models only the nets with a pin in the
+// window (VarMap::active_nets), and the projection reuses its summed-area
+// capacity tables as a full solve would.
 #pragma once
 
 #include "core/placer.h"

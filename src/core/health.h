@@ -76,11 +76,8 @@ struct SolverStats {
   double worst_residual = 0.0;    ///< max final ||b - Ax|| over all solves
 
   // QP-workspace instrumentation (copied from QpWorkspaceStats by the
-  // driver; all zero when the workspace is disabled). The assembly/solve
-  // split shows where each primal step's wall time went; the hit counters
-  // show how often the B2B sparsity pattern survived relinearization.
-  size_t pattern_hits = 0;
-  size_t pattern_misses = 0;
+  // driver). The assembly/solve split shows where each primal step's wall
+  // time went.
   double assembly_s = 0.0;  ///< net model + stamping + CSR assembly
   double solve_s = 0.0;     ///< PCG wall time
 

@@ -4,142 +4,126 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/parallel.h"
 
 namespace complx {
 
+size_t check_index32(size_t count, const char* what) {
+  if (count > std::numeric_limits<uint32_t>::max())
+    throw std::length_error(std::string(what) + " " + std::to_string(count) +
+                            " exceeds the 32-bit index range");
+  return count;
+}
+
+TripletList::TripletList(size_t n)
+    : n_(check_index32(n, "variable count")),
+      diag_(n, -0.0),
+      has_diag_(n, 0) {}
+
+void TripletList::throw_self_spring(size_t i) {
+  throw std::invalid_argument("add_spring: both ends are variable " +
+                              std::to_string(i));
+}
+
+void TripletList::clear() {
+  diag_.assign(n_, -0.0);
+  has_diag_.assign(n_, 0);
+  springs_.clear();
+  out_of_range_ = false;
+}
+
 CsrMatrix CsrMatrix::from_triplets(const TripletList& t) {
   CsrMatrix m;
-  CsrAssembler::build(t, m, nullptr, nullptr, nullptr);
+  m.assemble(t);
   return m;
 }
 
-void CsrAssembler::build(const TripletList& t, CsrMatrix& m,
-                         std::vector<size_t>* raw_ptr_out,
-                         std::vector<size_t>* add_src_out,
-                         std::vector<size_t>* add_dst_out) {
+void CsrMatrix::assemble(const TripletList& t) {
+  if (t.out_of_range()) throw std::out_of_range("triplet index out of range");
   const size_t n = t.dim();
-  const auto& rows = t.rows();
-  const auto& cols = t.cols();
-  const auto& vals = t.vals();
-  const size_t nnz_raw = rows.size();
+  const std::vector<TripletList::Spring>& springs = t.springs();
+  const Vec& diag = t.diag();
+  const std::vector<uint8_t>& has_diag = t.has_diag();
 
-  std::vector<size_t> local_raw_ptr, local_slots;
-  std::vector<size_t>& raw_ptr = raw_ptr_out ? *raw_ptr_out : local_raw_ptr;
-  // Sorted slot order doubles as the revalue schedule's source indices:
-  // slots[raw_ptr[i]..raw_ptr[i+1]) are row i's triplet indices.
-  std::vector<size_t>& slots = add_src_out ? *add_src_out : local_slots;
-
-  // Counting pass.
-  raw_ptr.assign(n + 1, 0);
-  for (size_t r : rows) {
-    if (r >= n) throw std::out_of_range("triplet row out of range");
-    ++raw_ptr[r + 1];
+  // Two counting-sort passes, as in Netlist::finalize(). Count: a spring
+  // puts one entry into each of its two rows. row_ptr_ gets each row's
+  // capacity (its entries plus the diagonal); next[i] the start of row i in
+  // the pass-1 scratch.
+  row_ptr_.assign(n + 1, 0);
+  for (const TripletList::Spring& s : springs) {
+    ++row_ptr_[s.i + 1];
+    ++row_ptr_[s.j + 1];
   }
-  for (size_t i = 0; i < n; ++i) raw_ptr[i + 1] += raw_ptr[i];
+  std::vector<uint32_t> next(n);
+  size_t raw = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t count = row_ptr_[i + 1];
+    next[i] = static_cast<uint32_t>(raw);
+    raw += count;
+    row_ptr_[i + 1] = row_ptr_[i] + count + has_diag[i];
+  }
+  check_index32(row_ptr_[n], "CSR entry count");
 
-  // Scatter pass: row i's triplet indices, in arrival order.
-  std::vector<size_t> cursor(raw_ptr.begin(), raw_ptr.end() - 1);
-  slots.resize(nnz_raw);
-  for (size_t k = 0; k < nnz_raw; ++k) {
-    if (cols[k] >= n) throw std::out_of_range("triplet col out of range");
-    slots[cursor[rows[k]]++] = k;
+  // Pass 1: each row's (col, -w) entries in arrival order.
+  raw_col_.resize(raw);
+  raw_val_.resize(raw);
+  for (const TripletList::Spring& s : springs) {
+    const uint32_t a = next[s.i]++, b = next[s.j]++;
+    raw_col_[a] = s.j;
+    raw_val_[a] = -s.w;
+    raw_col_[b] = s.i;
+    raw_val_[b] = -s.w;
   }
 
-  // Pass A (row-parallel): stable-sort each row's slots by column — ties
-  // keep arrival order, which pins the duplicate-accumulation order — and
-  // count the merged entries.
-  std::vector<size_t> merged(n, 0);
-  parallel_for(n, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      const auto begin = slots.begin() + static_cast<ptrdiff_t>(raw_ptr[i]);
-      const auto end = slots.begin() + static_cast<ptrdiff_t>(raw_ptr[i + 1]);
-      std::stable_sort(begin, end,
-                       [&](size_t a, size_t b) { return cols[a] < cols[b]; });
-      size_t count = 0;
-      size_t prev = n;  // every valid column is < n
-      for (auto it = begin; it != end; ++it) {
-        if (cols[*it] != prev) {
-          prev = cols[*it];
-          ++count;
-        }
-      }
-      merged[i] = count;
+  // Pass 2, the transpose: visit rows c in increasing order; append row c's
+  // diagonal to row c, then (c, v) to row r for each pass-1 entry (r, v).
+  // Every row so receives its columns in increasing order, each column's
+  // contributions in arrival order; a repeated column (duplicate spring) is
+  // summed into the row's last entry, the first contribution assigned.
+  // next[r] is now row r's write cursor. The matrix is symmetric, so row
+  // c's pass-1 entries are exactly column c's.
+  col_.resize(row_ptr_[n]);
+  val_.resize(row_ptr_[n]);
+  for (size_t i = 0; i < n; ++i) next[i] = static_cast<uint32_t>(row_ptr_[i]);
+  size_t k = 0;
+  for (size_t c = 0; c < n; ++c) {
+    const auto col = static_cast<uint32_t>(c);
+    if (has_diag[c]) {
+      const uint32_t o = next[c]++;
+      col_[o] = col;
+      val_[o] = diag[c];
     }
-  });
-
-  m.row_ptr_.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) m.row_ptr_[i + 1] = m.row_ptr_[i] + merged[i];
-  m.col_.resize(m.row_ptr_[n]);
-  m.val_.resize(m.row_ptr_[n]);
-  if (add_dst_out) add_dst_out->resize(nnz_raw);
-
-  // Pass B (row-parallel): write merged columns, accumulate values in
-  // sorted-slot order (first contribution per entry is an assignment), and
-  // optionally record where each addition landed.
-  parallel_for(n, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      size_t out = m.row_ptr_[i];
-      size_t prev = n;
-      bool first = true;
-      for (size_t s = raw_ptr[i]; s < raw_ptr[i + 1]; ++s) {
-        const size_t k = slots[s];
-        const size_t c = cols[k];
-        if (first || c != prev) {
-          if (!first) ++out;
-          m.col_[out] = c;
-          m.val_[out] = vals[k];
-          first = false;
-          prev = c;
-        } else {
-          m.val_[out] += vals[k];
-        }
-        if (add_dst_out) (*add_dst_out)[s] = out;
+    const size_t end = k + (row_ptr_[c + 1] - row_ptr_[c] - has_diag[c]);
+    for (; k < end; ++k) {
+      const uint32_t r = raw_col_[k];
+      uint32_t& o = next[r];
+      if (o > row_ptr_[r] && col_[o - 1] == col) {
+        val_[o - 1] += raw_val_[k];
+      } else {
+        col_[o] = col;
+        val_[o++] = raw_val_[k];
       }
     }
-  });
-}
-
-bool CsrAssembler::assemble(const TripletList& t) {
-  if (valid_ && t.dim() == n_ && t.rows() == rows_ && t.cols() == cols_) {
-    ++hits_;
-    revalue(t);
-    return true;
   }
-  ++misses_;
-  valid_ = false;  // a throwing build must not leave a half-valid cache
-  build(t, m_, &raw_ptr_, &add_src_, &add_dst_);
-  n_ = t.dim();
-  rows_ = t.rows();
-  cols_ = t.cols();
-  valid_ = true;
-  return false;
-}
 
-void CsrAssembler::revalue(const TripletList& t) {
-  const auto& vals = t.vals();
-  parallel_for(n_, [&](size_t row_begin, size_t row_end) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      size_t prev = std::numeric_limits<size_t>::max();
-      for (size_t s = raw_ptr_[i]; s < raw_ptr_[i + 1]; ++s) {
-        const size_t dst = add_dst_[s];
-        const double v = vals[add_src_[s]];
-        if (dst != prev) {
-          m_.val_[dst] = v;  // replay: first contribution is an assignment
-          prev = dst;
-        } else {
-          m_.val_[dst] += v;
-        }
-      }
+  // Close the gaps the merged duplicates left behind.
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t begin = row_ptr_[i], len = next[i] - begin;
+    row_ptr_[i] = out;
+    if (begin != out) {
+      std::copy_n(col_.begin() + static_cast<ptrdiff_t>(begin), len,
+                  col_.begin() + static_cast<ptrdiff_t>(out));
+      std::copy_n(val_.begin() + static_cast<ptrdiff_t>(begin), len,
+                  val_.begin() + static_cast<ptrdiff_t>(out));
     }
-  });
-}
-
-void CsrAssembler::invalidate() {
-  valid_ = false;
-  rows_.clear();
-  cols_.clear();
+    out += len;
+  }
+  row_ptr_[n] = out;
+  col_.resize(out);
+  val_.resize(out);
 }
 
 void CsrMatrix::multiply(const Vec& x, Vec& y) const {
@@ -175,7 +159,8 @@ void CsrMatrix::diagonal_into(Vec& d) const {
 double CsrMatrix::at(size_t i, size_t j) const {
   const auto begin = col_.begin() + static_cast<ptrdiff_t>(row_ptr_[i]);
   const auto end = col_.begin() + static_cast<ptrdiff_t>(row_ptr_[i + 1]);
-  const auto it = std::lower_bound(begin, end, j);
+  const auto it = std::lower_bound(begin, end, j,
+                                   [](uint32_t c, size_t v) { return c < v; });
   if (it == end || *it != j) return 0.0;
   return val_[static_cast<size_t>(it - col_.begin())];
 }

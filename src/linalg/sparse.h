@@ -1,81 +1,108 @@
 // Sparse symmetric-positive-definite matrix support for quadratic placement.
 //
-// The placer assembles the connectivity Laplacian plus anchor diagonal as
-// triplets (duplicates allowed, summed on conversion), then converts to CSR
-// once per placement iteration for the CG solve. Only the operations the
-// placer needs are implemented: assembly, SpMV, diagonal extraction.
+// The placer stamps the connectivity Laplacian plus anchor diagonal into a
+// TripletList (a diagonal vector plus one 32-bit record per spring), then
+// converts it to CSR once per axis per iteration for the CG solve. Only the
+// operations the placer needs are implemented: assembly, SpMV, diagonal
+// extraction.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "linalg/vec.h"
 
 namespace complx {
 
-/// Triplet (coordinate-format) accumulator for symmetric matrices.
+/// Returns `count`, or throws std::length_error naming `what` when it does
+/// not fit the 32-bit indices of the spring records and CSR columns.
+size_t check_index32(size_t count, const char* what);
+
+/// Accumulator for the symmetric placement matrix.
 ///
-/// Callers add each off-diagonal pair once via add_symmetric(); diagonal
-/// contributions via add_diag(). Duplicate entries are summed when the CSR
-/// matrix is built, so net-model code can emit one triplet per net edge
-/// without pre-merging.
+/// Diagonal contributions are summed straight into a dense vector in arrival
+/// order, the first one assigned and later ones added: the vector starts at
+/// -0.0, the additive identity of IEEE doubles, so even a lone -0.0 survives.
+/// Each off-diagonal coupling is one {i, j, w} record; CsrMatrix::assemble
+/// expands it into A[i][j] = A[j][i] = -w and sums duplicates in arrival
+/// order. Index range errors are reported when the CSR matrix is built.
 class TripletList {
  public:
-  explicit TripletList(size_t n) : n_(n) {}
+  struct Spring {
+    uint32_t i;
+    uint32_t j;
+    double w;
+  };
+
+  /// Throws std::length_error when n does not fit a 32-bit index.
+  explicit TripletList(size_t n);
 
   size_t dim() const { return n_; }
-  size_t entries() const { return rows_.size(); }
 
-  void reserve(size_t nnz) {
-    rows_.reserve(nnz);
-    cols_.reserve(nnz);
-    vals_.reserve(nnz);
-  }
+  /// Reserves room for `springs` off-diagonal couplings.
+  void reserve(size_t springs) { springs_.reserve(springs); }
 
   /// A[i][i] += v
   void add_diag(size_t i, double v) {
-    rows_.push_back(i);
-    cols_.push_back(i);
-    vals_.push_back(v);
+    if (i >= n_) {
+      out_of_range_ = true;
+      return;
+    }
+    diag_[i] += v;
+    has_diag_[i] = 1;
   }
 
   /// Adds the 2x2 stamp of a spring between i and j with weight w:
-  /// A[i][i]+=w, A[j][j]+=w, A[i][j]-=w, A[j][i]-=w.
+  /// A[i][i]+=w, A[j][j]+=w, A[i][j]-=w, A[j][i]-=w. A spring needs two
+  /// distinct ends: add_spring(i, i) throws std::invalid_argument.
   void add_spring(size_t i, size_t j, double w) {
-    add_diag(i, w);
-    add_diag(j, w);
-    rows_.push_back(i);
-    cols_.push_back(j);
-    vals_.push_back(-w);
-    rows_.push_back(j);
-    cols_.push_back(i);
-    vals_.push_back(-w);
+    if (i == j) [[unlikely]]
+      throw_self_spring(i);
+    if (i >= n_ || j >= n_) {
+      out_of_range_ = true;
+      return;
+    }
+    diag_[i] += w;
+    diag_[j] += w;
+    has_diag_[i] = 1;
+    has_diag_[j] = 1;
+    springs_.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), w});
   }
 
-  const std::vector<size_t>& rows() const { return rows_; }
-  const std::vector<size_t>& cols() const { return cols_; }
-  const std::vector<double>& vals() const { return vals_; }
+  const Vec& diag() const { return diag_; }
+  /// has_diag()[i] != 0 iff row i received a diagonal contribution.
+  const std::vector<uint8_t>& has_diag() const { return has_diag_; }
+  const std::vector<Spring>& springs() const { return springs_; }
+  bool out_of_range() const { return out_of_range_; }
 
-  void clear() {
-    rows_.clear();
-    cols_.clear();
-    vals_.clear();
-  }
+  /// Empties the system, keeping every buffer's capacity.
+  void clear();
 
  private:
+  [[noreturn]] static void throw_self_spring(size_t i);
+
   size_t n_;
-  std::vector<size_t> rows_, cols_;
-  std::vector<double> vals_;
+  Vec diag_;
+  std::vector<uint8_t> has_diag_;
+  std::vector<Spring> springs_;
+  bool out_of_range_ = false;
 };
 
-/// Compressed-sparse-row matrix (square). Built from a TripletList with
-/// duplicate merging; immutable afterwards.
+/// Compressed-sparse-row matrix (square) with 32-bit column indices. Built
+/// from a TripletList; each row holds its entries in column order with
+/// duplicates summed in arrival order.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
   /// Builds CSR from triplets, summing duplicates. O(nnz + n).
   static CsrMatrix from_triplets(const TripletList& t);
+
+  /// Rebuilds this matrix from `t`, reusing the capacity of its arrays.
+  /// Throws std::out_of_range when `t` saw an index >= t.dim(), and
+  /// std::length_error when the entry count does not fit 32 bits.
+  void assemble(const TripletList& t);
 
   size_t dim() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   size_t nnz() const { return col_.size(); }
@@ -95,78 +122,19 @@ class CsrMatrix {
   double symmetry_error() const;
 
   const std::vector<size_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<size_t>& col() const { return col_; }
+  const std::vector<uint32_t>& col() const { return col_; }
   const std::vector<double>& val() const { return val_; }
 
   /// A[i][j] by binary search over row i (0 when absent).
   double at(size_t i, size_t j) const;
 
  private:
-  friend class CsrAssembler;
-
   std::vector<size_t> row_ptr_;
-  std::vector<size_t> col_;
+  std::vector<uint32_t> col_;
   std::vector<double> val_;
-};
-
-/// Iteration-persistent CSR assembly with sparsity-pattern reuse.
-///
-/// The placer's primal step converts a freshly stamped TripletList to CSR
-/// every iteration. Between B2B relinearizations the bounding-pin topology
-/// is frequently unchanged: the triplet (row, col) sequence is then
-/// identical and only the values differ (spring weights, anchor diagonal —
-/// the λ update never changes the pattern). This assembler caches the
-/// merged structure of the last full build together with its accumulation
-/// schedule; when the incoming pattern matches, the counting/sort/merge
-/// passes are skipped and val_ is revalued in place by replaying the *same
-/// additions in the same order* as a fresh build — cached and uncached
-/// paths are bitwise identical.
-///
-/// Both the full build and the revalue pass are row-parallel via
-/// util/parallel (each row's output is owned by exactly one chunk), so the
-/// result is also bitwise independent of the thread count.
-class CsrAssembler {
- public:
-  /// Assembles `t` into the internally owned matrix, reusing the cached
-  /// sparsity pattern when `t` matches the previous call. Returns true on
-  /// a pattern hit (in-place revalue), false on a full rebuild.
-  bool assemble(const TripletList& t);
-
-  /// The assembled matrix; valid until the next assemble()/invalidate().
-  const CsrMatrix& matrix() const { return m_; }
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
-  /// Drops the cached pattern: the next assemble() is a full rebuild
-  /// (buffers keep their capacity). Counters are preserved.
-  void invalidate();
-
- private:
-  friend class CsrMatrix;  // from_triplets reuses build() without a cache
-
-  /// One-shot CSR build (count → scatter → per-row stable sort + merge).
-  /// When the schedule pointers are non-null, also records the
-  /// triplet→CSR accumulation schedule used by revalue(): the j-th
-  /// addition of row i (j in [raw_ptr[i], raw_ptr[i+1])) reads triplet
-  /// add_src[j] and lands in val_[add_dst[j]], first-of-slot additions
-  /// being assignments.
-  static void build(const TripletList& t, CsrMatrix& m,
-                    std::vector<size_t>* raw_ptr,
-                    std::vector<size_t>* add_src,
-                    std::vector<size_t>* add_dst);
-
-  void revalue(const TripletList& t);
-
-  CsrMatrix m_;
-  bool valid_ = false;
-  size_t n_ = 0;
-  std::vector<size_t> rows_, cols_;  ///< cached triplet pattern
-  std::vector<size_t> raw_ptr_;      ///< additions per row (size n_+1)
-  std::vector<size_t> add_src_;      ///< triplet index per addition
-  std::vector<size_t> add_dst_;      ///< val_ index per addition
-  size_t hits_ = 0;
-  size_t misses_ = 0;
+  // assemble()'s row-grouped spring entries, kept for their capacity.
+  std::vector<uint32_t> raw_col_;
+  std::vector<double> raw_val_;
 };
 
 }  // namespace complx

@@ -9,6 +9,16 @@ VarMap::VarMap(const Netlist& nl) {
     var_of_cell[id] = cell_of_var.size();
     cell_of_var.push_back(id);
   }
+  const NetlistView v = nl.view();
+  for (NetId e = 0; e < v.num_nets; ++e) {
+    const Net& net = v.nets[e];
+    for (uint32_t k = net.first_pin; k < net.first_pin + net.num_pins; ++k) {
+      if (var_of_cell[v.pin_cell[k]] != kFixed) {
+        active_nets.push_back(e);
+        break;
+      }
+    }
+  }
 }
 
 SystemBuilder::SystemBuilder(const Netlist& nl, const VarMap& vars, Axis axis,
@@ -76,28 +86,20 @@ void SystemBuilder::add_anchor(CellId c, double target, double weight) {
 }
 
 CgResult SystemBuilder::solve(Placement& p, const CgOptions& opts) const {
-  const CsrMatrix A = CsrMatrix::from_triplets(trip_);
-  Vec& coords = axis_ == Axis::X ? p.x : p.y;
-
-  // Warm start from the current iterate: quadratic placement changes little
-  // between relinearizations, which saves most CG iterations.
-  Vec x(vars_.num_vars());
-  for (size_t v = 0; v < vars_.num_vars(); ++v)
-    x[v] = coords[vars_.cell_of_var[v]];
-
-  const CgResult res = solve_pcg(A, rhs_, x, opts);
-  for (size_t v = 0; v < vars_.num_vars(); ++v)
-    coords[vars_.cell_of_var[v]] = x[v];
-  return res;
+  SolveWorkspace ws;
+  assemble(ws);
+  return solve(p, opts, ws);
 }
 
 CgResult SystemBuilder::solve(Placement& p, const CgOptions& opts,
                               SolveWorkspace& ws) const {
   // Precondition: assemble(ws) ran after the last stamping call — the
   // split exists so the caller can time assembly and solve separately.
-  const CsrMatrix& A = ws.assembler.matrix();
+  const CsrMatrix& A = ws.matrix;
   Vec& coords = axis_ == Axis::X ? p.x : p.y;
 
+  // Warm start from the current iterate: quadratic placement changes little
+  // between relinearizations, which saves most CG iterations.
   ws.x.resize(vars_.num_vars());
   for (size_t v = 0; v < vars_.num_vars(); ++v)
     ws.x[v] = coords[vars_.cell_of_var[v]];

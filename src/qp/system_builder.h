@@ -28,18 +28,20 @@ struct VarMap {
   static constexpr size_t kFixed = std::numeric_limits<size_t>::max();
   std::vector<size_t> var_of_cell;  ///< kFixed for fixed cells
   std::vector<CellId> cell_of_var;
+  /// Nets with at least one pin on a movable cell, in net order. The other
+  /// nets couple fixed pins only and add nothing to the system, so the net
+  /// models skip them (an ECO window freezes most of the design).
+  std::vector<NetId> active_nets;
 
   explicit VarMap(const Netlist& nl);
   size_t num_vars() const { return cell_of_var.size(); }
 };
 
-/// Per-axis persistent numeric state for the workspace solve path: the CSR
-/// assembler (pattern cache), the PCG scratch vectors, and the movable-
-/// coordinate gather buffer. Owned by QpWorkspace and reused every
-/// iteration; only the sparsity pattern is cached — all values are restamped
-/// each call.
+/// Per-axis numeric state of the solve, owned by QpWorkspace and reused
+/// every iteration: the assembled CSR matrix, the PCG scratch vectors, and
+/// the movable-coordinate gather buffer. All values are rebuilt each call.
 struct SolveWorkspace {
-  CsrAssembler assembler;
+  CsrMatrix matrix;
   CgWorkspace cg;
   Vec x;  ///< warm-start / solution buffer (movable variables)
 };
@@ -56,7 +58,8 @@ class SystemBuilder {
                 Placement&& linearization_point) = delete;
 
   /// Rewinds to an empty system at a new linearization point, keeping the
-  /// capacity of the triplet and RHS buffers (allocation-free once warm).
+  /// capacity of the spring-record and RHS buffers (allocation-free once
+  /// warm).
   void reset(const Placement& linearization_point);
   void reset(Placement&& linearization_point) = delete;
 
@@ -65,15 +68,15 @@ class SystemBuilder {
   /// Pseudonet from movable cell `c` to fixed coordinate `target`.
   void add_anchor(CellId c, double target, double weight);
 
-  /// Finalizes the matrix and solves; the solution is scattered back into
-  /// the axis coordinates of `p` for movable cells.
+  /// Finalizes the matrix and solves with a throwaway workspace; the
+  /// solution is scattered back into the axis coordinates of `p` for
+  /// movable cells.
   CgResult solve(Placement& p, const CgOptions& opts = {}) const;
 
   /// Workspace path, split so callers can time assembly and solve
-  /// separately: assemble() finalizes the CSR matrix through the pattern
-  /// cache (true = cached pattern reused), solve() then runs PCG out of the
-  /// workspace buffers. Bitwise identical to the one-shot solve() above.
-  bool assemble(SolveWorkspace& ws) const { return ws.assembler.assemble(trip_); }
+  /// separately: assemble() builds the CSR matrix into `ws`, solve() then
+  /// runs PCG out of the workspace buffers.
+  void assemble(SolveWorkspace& ws) const { ws.matrix.assemble(trip_); }
   CgResult solve(Placement& p, const CgOptions& opts, SolveWorkspace& ws) const;
 
   /// Exposed for tests: the assembled matrix and RHS.

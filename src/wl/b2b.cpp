@@ -9,7 +9,8 @@ namespace complx {
 
 namespace {
 
-/// Emits the B2B springs of nets [begin, end) into `springs` in net order.
+/// Emits the B2B springs of list positions [begin, end) into `springs` in
+/// list order; a null `nets` lists every net (position k is net k).
 /// Works on the netlist's raw-array view: per axis, the loop touches the
 /// position vector, the pin→cell array and ONE pin-offset array — the SoA
 /// payoff on multi-million-pin designs.
@@ -22,10 +23,11 @@ namespace {
 /// memory — so every comparison, separation and weight is bitwise identical
 /// to the re-deriving loop.
 void build_b2b_range(const NetlistView& v, const double* pos,
-                     const double* off, const B2bOptions& opts, size_t begin,
-                     size_t end, std::vector<PinSpring>& springs) {
-  for (size_t e = begin; e < end; ++e) {
-    const Net& net = v.nets[e];
+                     const double* off, const B2bOptions& opts,
+                     const NetId* nets, size_t begin, size_t end,
+                     std::vector<PinSpring>& springs) {
+  for (size_t i = begin; i < end; ++i) {
+    const Net& net = v.nets[nets ? nets[i] : i];
     const uint32_t deg = net.num_pins;
     if (deg < 2 || deg > opts.max_degree) continue;
 
@@ -68,40 +70,33 @@ void build_b2b_range(const NetlistView& v, const double* pos,
   }
 }
 
-}  // namespace
-
-std::vector<PinSpring> build_b2b(const Netlist& nl, const Placement& p,
-                                 Axis axis, const B2bOptions& opts) {
-  std::vector<PinSpring> springs;
-  build_b2b(nl, p, axis, opts, springs);
-  return springs;
-}
-
-void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
-               const B2bOptions& opts, std::vector<PinSpring>& springs) {
+/// Shared driver of both overloads: `count` list positions, `nets` null for
+/// all nets.
+void build_b2b_list(const Netlist& nl, const Placement& p, Axis axis,
+                    const B2bOptions& opts, const NetId* nets, size_t count,
+                    std::vector<PinSpring>& springs) {
   const NetlistView v = nl.view();
   const double* pos = axis == Axis::X ? p.x.data() : p.y.data();
   const double* off = axis == Axis::X ? v.pin_dx : v.pin_dy;
-  const size_t num_nets = v.num_nets;
-  const Partition part = partition_range(num_nets, 512, 64);
+  const Partition part = partition_range(count, 512, 64);
 
   springs.clear();
   if (part.parts <= 1) {
     springs.reserve(2 * v.num_pins);
-    build_b2b_range(v, pos, off, opts, 0, num_nets, springs);
+    build_b2b_range(v, pos, off, opts, nets, 0, count, springs);
     return;
   }
 
   // Per-block spring buffers built in parallel, concatenated in block
   // order: the output is the exact spring sequence of the serial loop, so
-  // everything downstream (triplets, CSR, CG) is bitwise unchanged.
+  // everything downstream (spring records, CSR, CG) is bitwise unchanged.
   std::vector<std::vector<PinSpring>> blocks(part.parts);
   parallel_for(
-      num_nets,
+      count,
       [&](size_t begin, size_t end) {
         std::vector<PinSpring>& out = blocks[begin / part.chunk];
         out.reserve(3 * (end - begin));
-        build_b2b_range(v, pos, off, opts, begin, end, out);
+        build_b2b_range(v, pos, off, opts, nets, begin, end, out);
       },
       part.chunk);
 
@@ -110,6 +105,21 @@ void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
   springs.reserve(total);
   for (const auto& blk : blocks)
     springs.insert(springs.end(), blk.begin(), blk.end());
+}
+
+}  // namespace
+
+std::vector<PinSpring> build_b2b(const Netlist& nl, const Placement& p,
+                                 Axis axis, const B2bOptions& opts) {
+  std::vector<PinSpring> springs;
+  build_b2b_list(nl, p, axis, opts, nullptr, nl.num_nets(), springs);
+  return springs;
+}
+
+void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
+               const B2bOptions& opts, const std::vector<NetId>& nets,
+               std::vector<PinSpring>& springs) {
+  build_b2b_list(nl, p, axis, opts, nets.data(), nets.size(), springs);
 }
 
 }  // namespace complx

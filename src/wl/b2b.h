@@ -34,15 +34,17 @@ struct B2bOptions {
   uint32_t max_degree = 3000;
 };
 
-/// Builds the Bound2Bound spring list for one axis at linearization point
-/// `p`. Degenerate nets (degree < 2) produce nothing.
+/// Builds the Bound2Bound spring list of every net for one axis at
+/// linearization point `p`. Degenerate nets (degree < 2) produce nothing.
 std::vector<PinSpring> build_b2b(const Netlist& nl, const Placement& p,
                                  Axis axis, const B2bOptions& opts);
 
-/// Buffer-reusing variant: clears and refills `out` (capacity survives, so
-/// the QP workspace builds each iteration's spring list allocation-free
-/// once warm). Same spring sequence as the value-returning form.
+/// Same model restricted to `nets` (in list order): clears and refills
+/// `out`, whose capacity survives, so the QP workspace builds each
+/// iteration's spring list allocation-free once warm. The QP path passes
+/// VarMap::active_nets; the list of all nets gives the sequence above.
 void build_b2b(const Netlist& nl, const Placement& p, Axis axis,
-               const B2bOptions& opts, std::vector<PinSpring>& out);
+               const B2bOptions& opts, const std::vector<NetId>& nets,
+               std::vector<PinSpring>& out);
 
 }  // namespace complx

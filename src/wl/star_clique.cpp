@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace complx {
 
@@ -10,21 +11,28 @@ double pin_coord(const Netlist& nl, const Placement& p, PinId k, Axis axis) {
   const Pin& pin = nl.pin(k);
   return axis == Axis::X ? p.x[pin.cell] + pin.dx : p.y[pin.cell] + pin.dy;
 }
+
+std::vector<NetId> all_nets(const Netlist& nl) {
+  std::vector<NetId> nets(nl.num_nets());
+  std::iota(nets.begin(), nets.end(), NetId{0});
+  return nets;
+}
 }  // namespace
 
 std::vector<PinSpring> build_clique(const Netlist& nl, const Placement& p,
                                     Axis axis, const B2bOptions& opts,
                                     uint32_t clique_max_degree) {
   std::vector<PinSpring> springs;
-  build_clique(nl, p, axis, opts, springs, clique_max_degree);
+  build_clique(nl, p, axis, opts, all_nets(nl), springs, clique_max_degree);
   return springs;
 }
 
 void build_clique(const Netlist& nl, const Placement& p, Axis axis,
-                  const B2bOptions& opts, std::vector<PinSpring>& springs,
+                  const B2bOptions& opts, const std::vector<NetId>& nets,
+                  std::vector<PinSpring>& springs,
                   uint32_t clique_max_degree) {
   springs.clear();
-  for (NetId e = 0; e < nl.num_nets(); ++e) {
+  for (const NetId e : nets) {
     const Net& net = nl.net(e);
     const uint32_t deg = net.num_pins;
     if (deg < 2 || deg > opts.max_degree) continue;
@@ -66,14 +74,15 @@ void build_clique(const Netlist& nl, const Placement& p, Axis axis,
 std::vector<StarSpring> build_star(const Netlist& nl, const Placement& p,
                                    Axis axis, const B2bOptions& opts) {
   std::vector<StarSpring> springs;
-  build_star(nl, p, axis, opts, springs);
+  build_star(nl, p, axis, opts, all_nets(nl), springs);
   return springs;
 }
 
 void build_star(const Netlist& nl, const Placement& p, Axis axis,
-                const B2bOptions& opts, std::vector<StarSpring>& springs) {
+                const B2bOptions& opts, const std::vector<NetId>& nets,
+                std::vector<StarSpring>& springs) {
   springs.clear();
-  for (NetId e = 0; e < nl.num_nets(); ++e) {
+  for (const NetId e : nets) {
     const Net& net = nl.net(e);
     const uint32_t deg = net.num_pins;
     if (deg < 2 || deg > opts.max_degree) continue;

@@ -18,9 +18,11 @@ std::vector<PinSpring> build_clique(const Netlist& nl, const Placement& p,
                                     Axis axis, const B2bOptions& opts,
                                     uint32_t clique_max_degree = 16);
 
-/// Buffer-reusing variant (clears and refills `out`; capacity survives).
+/// Restricted to `nets` (in list order); clears and refills `out`, whose
+/// capacity survives. The QP path passes VarMap::active_nets.
 void build_clique(const Netlist& nl, const Placement& p, Axis axis,
-                  const B2bOptions& opts, std::vector<PinSpring>& out,
+                  const B2bOptions& opts, const std::vector<NetId>& nets,
+                  std::vector<PinSpring>& out,
                   uint32_t clique_max_degree = 16);
 
 /// Star: one auxiliary node per net located at the net's pin centroid;
@@ -37,8 +39,10 @@ struct StarSpring {
 std::vector<StarSpring> build_star(const Netlist& nl, const Placement& p,
                                    Axis axis, const B2bOptions& opts);
 
-/// Buffer-reusing variant (clears and refills `out`; capacity survives).
+/// Restricted to `nets` (in list order); clears and refills `out`, whose
+/// capacity survives. The QP path passes VarMap::active_nets.
 void build_star(const Netlist& nl, const Placement& p, Axis axis,
-                const B2bOptions& opts, std::vector<StarSpring>& out);
+                const B2bOptions& opts, const std::vector<NetId>& nets,
+                std::vector<StarSpring>& out);
 
 }  // namespace complx

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <stdexcept>
+#include <vector>
 
 #include "linalg/cg.h"
 #include "linalg/sparse.h"
@@ -345,7 +349,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CgRandomSpd,
                                            RandomSpdCase{500, 4},
                                            RandomSpdCase{1000, 5}));
 
-// --------------------------------------------------- pattern-cached CSR ----
+// ------------------------------------------------------ CSR assembly ----
 
 uint64_t dbits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -357,95 +361,212 @@ void expect_bitwise_equal(const CsrMatrix& a, const CsrMatrix& b) {
     ASSERT_EQ(dbits(a.val()[i]), dbits(b.val()[i])) << "val[" << i << "]";
 }
 
-/// Random SPD system; the same seed always produces the same sparsity
-/// pattern, while `weight_scale` varies only the values — exactly the
-/// anchors-and-weights-changed, topology-unchanged shape of the placer's
-/// per-iteration systems.
-TripletList random_system(size_t n, uint64_t seed,
-                          double weight_scale = 1.0) {
+/// Random SPD system (chain + random springs + positive diagonal).
+TripletList random_system(size_t n, uint64_t seed) {
   Rng rng(seed);
   TripletList t(n);
   for (size_t i = 0; i + 1 < n; ++i)
-    t.add_spring(i, i + 1, weight_scale * rng.uniform(0.5, 2.0));
+    t.add_spring(i, i + 1, rng.uniform(0.5, 2.0));
   for (size_t k = 0; k < 3 * n; ++k) {
     const size_t i = rng.uniform_index(n), j = rng.uniform_index(n);
-    if (i != j) t.add_spring(i, j, weight_scale * rng.uniform(0.1, 1.0));
+    if (i != j) t.add_spring(i, j, rng.uniform(0.1, 1.0));
   }
-  for (size_t i = 0; i < n; ++i)
-    t.add_diag(i, weight_scale * rng.uniform(0.01, 0.5));
+  for (size_t i = 0; i < n; ++i) t.add_diag(i, rng.uniform(0.01, 0.5));
   return t;
 }
 
-TEST(CsrAssembler, CachedRevalueIsBitwiseIdenticalToFreshBuild) {
-  CsrAssembler a;
-  const TripletList t1 = random_system(300, 21, 1.0);
-  EXPECT_FALSE(a.assemble(t1));  // first call: full build
-  EXPECT_EQ(a.misses(), 1u);
-  EXPECT_EQ(a.hits(), 0u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t1));
+/// Reference assembler: a spring is four coordinate triplets (two diagonal,
+/// two off-diagonal), and each CSR row is its triplets stable-sorted by
+/// column with duplicates accumulated in arrival order, the first one
+/// assigned. The production assembler must reproduce it bit for bit.
+struct OracleTriplets {
+  size_t n;
+  std::vector<size_t> rows, cols;
+  std::vector<double> vals;
 
-  // Same pattern, different values: must hit and revalue in place to the
-  // exact bits a fresh build would produce.
-  const TripletList t2 = random_system(300, 21, 1.7);
-  EXPECT_TRUE(a.assemble(t2));
-  EXPECT_EQ(a.hits(), 1u);
-  EXPECT_EQ(a.misses(), 1u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t2));
+  void add_diag(size_t i, double v) {
+    rows.push_back(i);
+    cols.push_back(i);
+    vals.push_back(v);
+  }
+  void add_spring(size_t i, size_t j, double w) {
+    add_diag(i, w);
+    add_diag(j, w);
+    rows.push_back(i);
+    cols.push_back(j);
+    vals.push_back(-w);
+    rows.push_back(j);
+    cols.push_back(i);
+    vals.push_back(-w);
+  }
+
+  struct Csr {
+    std::vector<size_t> row_ptr;
+    std::vector<uint32_t> col;
+    std::vector<double> val;
+  };
+  Csr build() const {
+    std::vector<std::vector<size_t>> by_row(n);
+    for (size_t k = 0; k < rows.size(); ++k) by_row[rows[k]].push_back(k);
+    Csr m;
+    m.row_ptr.push_back(0);
+    for (std::vector<size_t>& r : by_row) {
+      std::stable_sort(r.begin(), r.end(),
+                       [&](size_t a, size_t b) { return cols[a] < cols[b]; });
+      for (size_t s = 0; s < r.size(); ++s) {
+        if (s > 0 && cols[r[s]] == cols[r[s - 1]]) {
+          m.val.back() += vals[r[s]];
+        } else {
+          m.col.push_back(static_cast<uint32_t>(cols[r[s]]));
+          m.val.push_back(vals[r[s]]);
+        }
+      }
+      m.row_ptr.push_back(m.col.size());
+    }
+    return m;
+  }
+};
+
+/// Feeds the same call sequence to the production and oracle assemblers
+/// and requires bitwise-equal CSR.
+struct AssemblyPair {
+  TripletList t;
+  OracleTriplets o;
+
+  explicit AssemblyPair(size_t n) : t(n), o{n, {}, {}, {}} {}
+  void add_diag(size_t i, double v) {
+    t.add_diag(i, v);
+    o.add_diag(i, v);
+  }
+  void add_spring(size_t i, size_t j, double w) {
+    t.add_spring(i, j, w);
+    o.add_spring(i, j, w);
+  }
+  void expect_bitwise_equal_to_oracle() const {
+    const CsrMatrix a = CsrMatrix::from_triplets(t);
+    const OracleTriplets::Csr ref = o.build();
+    ASSERT_EQ(a.row_ptr(), ref.row_ptr);
+    ASSERT_EQ(a.col(), ref.col);
+    ASSERT_EQ(a.val().size(), ref.val.size());
+    for (size_t k = 0; k < ref.val.size(); ++k)
+      ASSERT_EQ(dbits(a.val()[k]), dbits(ref.val[k])) << "val[" << k << "]";
+  }
+};
+
+TEST(CsrAssembly, MatchesTripletOracleOnEdgeCases) {
+  AssemblyPair s(6);
+  s.add_spring(0, 2, 0.1);
+  s.add_spring(2, 0, 0.2);  // duplicate coupling, reversed ends
+  s.add_spring(0, 2, 0.3);  // and again: sums in arrival order
+  s.add_diag(1, 0.7);       // row 1: diagonal only
+  s.add_diag(1, 1e-17);
+  s.add_diag(3, -0.0);      // row 3: a lone signed zero must survive
+  s.add_spring(5, 2, 1e30);
+  s.add_spring(2, 5, -1e30);  // cancels: an explicit zero entry stays
+  // row 4: empty
+  s.expect_bitwise_equal_to_oracle();
+  const CsrMatrix a = CsrMatrix::from_triplets(s.t);
+  EXPECT_EQ(dbits(a.at(3, 3)), dbits(-0.0));
+  EXPECT_EQ(a.row_ptr()[5] - a.row_ptr()[4], 0u);
 }
 
-TEST(CsrAssembler, TopologyChangeForcesRebuild) {
-  CsrAssembler a;
-  a.assemble(random_system(100, 22));
-  TripletList changed = random_system(100, 22);
-  changed.add_spring(0, 99, 1.0);  // one new edge: different pattern
-  EXPECT_FALSE(a.assemble(changed));
-  EXPECT_EQ(a.misses(), 2u);
-  EXPECT_EQ(a.hits(), 0u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(changed));
-  // The changed pattern is now the cached one.
-  EXPECT_TRUE(a.assemble(changed));
+TEST(CsrAssembly, SignedZeroFirstContributionIsAssigned) {
+  // -0.0 + -0.0 stays -0.0; -0.0 then +0.0 sums to +0.0. A zero-initialized
+  // accumulator would get the first case wrong.
+  AssemblyPair s(3);
+  s.add_diag(0, -0.0);
+  s.add_diag(0, -0.0);
+  s.add_diag(1, -0.0);
+  s.add_diag(1, 0.0);
+  s.add_spring(0, 2, -0.0);
+  s.add_spring(2, 0, -0.0);
+  s.expect_bitwise_equal_to_oracle();
 }
 
-TEST(CsrAssembler, InvalidateDropsPatternButKeepsCounters) {
-  CsrAssembler a;
-  const TripletList t = random_system(80, 23);
-  a.assemble(t);
-  ASSERT_TRUE(a.assemble(t));
-  a.invalidate();
-  EXPECT_FALSE(a.assemble(t));  // identical input, but the cache is gone
-  EXPECT_EQ(a.hits(), 1u);
-  EXPECT_EQ(a.misses(), 2u);
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t));
+TEST(CsrAssembly, MatchesTripletOracleOnRandomSystems) {
+  for (const uint64_t seed : {31u, 32u, 33u}) {
+    Rng rng(seed);
+    const size_t n = 300;
+    AssemblyPair s(n);
+    for (size_t k = 0; k < 5 * n; ++k) {
+      const size_t i = rng.uniform_index(n), j = rng.uniform_index(n);
+      if (i != j)
+        s.add_spring(i, j, rng.uniform(0.1, 2.0));
+      else
+        s.add_diag(i, rng.uniform(-1.0, 1.0));
+      // Many duplicates: re-stamp a recent pair now and then.
+      if (k % 7 == 0 && i != j) s.add_spring(j, i, rng.uniform(0.1, 2.0));
+    }
+    s.expect_bitwise_equal_to_oracle();
+  }
 }
 
-TEST(CsrAssembler, SignedZeroSurvivesRevalue) {
-  // The first contribution to each CSR slot must be an assignment, not a
-  // += onto a zeroed buffer: zero-and-accumulate would turn a -0.0 triplet
-  // into +0.0 on the cached path only, breaking bitwise equality.
-  TripletList t(2);
-  t.add_diag(0, -0.0);
-  t.add_diag(1, 1.0);
-  CsrAssembler a;
-  a.assemble(t);
-  ASSERT_TRUE(a.assemble(t));
-  expect_bitwise_equal(a.matrix(), CsrMatrix::from_triplets(t));
-  EXPECT_EQ(dbits(a.matrix().at(0, 0)), dbits(-0.0));
+TEST(CsrAssembly, MatchesTripletOracleOnLongRows) {
+  // A hub coupled to hundreds of variables in scrambled order, with
+  // repeats, as the bound pin of a high-fanout net is.
+  Rng rng(34);
+  const size_t n = 700;
+  AssemblyPair s(n);
+  for (size_t k = 0; k < 3000; ++k) {
+    const size_t j = 1 + rng.uniform_index(n - 1);
+    s.add_spring(0, j, rng.uniform(0.1, 2.0));
+    if (k % 5 == 0) s.add_spring(j, 7 + (j % 90), rng.uniform(0.1, 2.0));
+  }
+  s.add_diag(0, 0.5);
+  s.expect_bitwise_equal_to_oracle();
 }
 
-TEST(CsrAssembler, ResultIndependentOfThreadCount) {
+TEST(CsrAssembly, ReassemblyReusesBuffersAndMatchesFreshBuild) {
+  CsrMatrix m;
+  m.assemble(random_system(300, 21));
+  const TripletList t = random_system(200, 22);
+  m.assemble(t);  // smaller system into the larger matrix's buffers
+  expect_bitwise_equal(m, CsrMatrix::from_triplets(t));
+}
+
+TEST(CsrAssembly, ClearResetsTheSystem) {
+  TripletList t = random_system(50, 23);
+  t.clear();
+  t.add_diag(4, -0.0);
+  TripletList fresh(50);
+  fresh.add_diag(4, -0.0);
+  expect_bitwise_equal(CsrMatrix::from_triplets(t),
+                       CsrMatrix::from_triplets(fresh));
+  EXPECT_EQ(CsrMatrix::from_triplets(t).nnz(), 1u);
+}
+
+TEST(CsrAssembly, ResultIndependentOfThreadCount) {
   const size_t prev = global_threads();
-  const TripletList t = random_system(400, 24);
+  const TripletList t = random_system(20000, 24);
   set_global_threads(1);
-  CsrAssembler serial;
-  serial.assemble(t);
-  serial.assemble(t);  // build, then revalue — both paths serial
-  const CsrMatrix reference = serial.matrix();
+  const CsrMatrix reference = CsrMatrix::from_triplets(t);
   set_global_threads(8);
-  CsrAssembler threaded;
-  threaded.assemble(t);
-  threaded.assemble(t);
-  expect_bitwise_equal(threaded.matrix(), reference);
+  expect_bitwise_equal(CsrMatrix::from_triplets(t), reference);
   set_global_threads(prev);
+}
+
+TEST(CsrAssembly, SelfSpringThrows) {
+  TripletList t(3);
+  EXPECT_THROW(t.add_spring(1, 1, 1.0), std::invalid_argument);
+}
+
+TEST(CsrAssembly, OutOfRangeSpringThrowsAtBuild) {
+  TripletList t(3);
+  t.add_spring(0, 3, 1.0);  // recorded, reported when the CSR is built
+  EXPECT_THROW(CsrMatrix::from_triplets(t), std::out_of_range);
+}
+
+TEST(CsrAssembly, VariableCountBeyond32BitsThrows) {
+  // The guard runs before any buffer is sized, so nothing is allocated.
+  const size_t too_many = size_t{std::numeric_limits<uint32_t>::max()} + 1;
+  EXPECT_THROW(TripletList{too_many}, std::length_error);
+}
+
+TEST(CsrAssembly, IndexGuardBoundary) {
+  const size_t max32 = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(check_index32(max32, "CSR entry count"), max32);
+  EXPECT_THROW(check_index32(max32 + 1, "CSR entry count"),
+               std::length_error);
 }
 
 // ---------------------------------------------------------- CG workspace ----

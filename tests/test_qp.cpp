@@ -181,123 +181,123 @@ TEST(SolveQpIteration, AnchorsHoldPlacementInPlace) {
 
 // ------------------------------------------------------------ workspace ----
 
-TEST(QpWorkspace, SamePointSecondIterationHitsPattern) {
-  Netlist nl = complx::testing::small_circuit(56, 400);
-  const VarMap vars(nl);
-  const Placement start = nl.snapshot();
-  QpOptions opts;
-  QpWorkspace ws;
-
-  Placement p = start;
-  solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  EXPECT_EQ(ws.stats.pattern_misses, 2u);  // first build, one per axis
-  EXPECT_EQ(ws.stats.pattern_hits, 0u);
-  const Placement first = p;
-
-  // Relinearizing at the same point reproduces the same B2B topology, so
-  // both axes must revalue the cached pattern — and land on the same bits.
-  p = start;
-  solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  EXPECT_EQ(ws.stats.pattern_hits, 2u);
-  EXPECT_EQ(ws.stats.pattern_misses, 2u);
-  EXPECT_EQ(ws.stats.iterations, 2u);
-  expect_bitwise_equal(nl, p, first);
-}
-
-TEST(QpWorkspace, AnchorWeightChangeStillHits) {
-  // The λ update rescales anchor weights but never adds or removes
-  // pseudonets: diagonal + RHS only, so the sparsity pattern must survive.
-  Netlist nl = complx::testing::small_circuit(57, 350);
-  const VarMap vars(nl);
-  const Placement start = nl.snapshot();
-  AnchorSet anchors(nl.num_cells());
-  for (CellId id : nl.movable_cells()) {
-    anchors.target_x[id] = start.x[id];
-    anchors.target_y[id] = start.y[id];
-    anchors.weight_x[id] = 1.0;
-    anchors.weight_y[id] = 1.0;
-  }
-  QpOptions opts;
-  QpWorkspace ws;
-
-  Placement p = start;
-  solve_qp_iteration(nl, vars, p, &anchors, opts, &ws);
-  ASSERT_EQ(ws.stats.pattern_misses, 2u);
-
-  for (CellId id : nl.movable_cells()) {
-    anchors.weight_x[id] *= 3.0;
-    anchors.weight_y[id] *= 3.0;
-  }
-  p = start;
-  solve_qp_iteration(nl, vars, p, &anchors, opts, &ws);
-  EXPECT_EQ(ws.stats.pattern_hits, 2u);
-  EXPECT_EQ(ws.stats.pattern_misses, 2u);
-
-  // The cached-path result equals the workspace-free path on the exact
-  // same system, bit for bit.
-  Placement fresh = start;
-  solve_qp_iteration(nl, vars, fresh, &anchors, opts, nullptr);
-  expect_bitwise_equal(nl, p, fresh);
-}
-
-TEST(QpWorkspace, TopologyChangeMissesAndStaysCorrect) {
-  Netlist nl = complx::testing::small_circuit(58, 300);
-  const VarMap vars(nl);
-  QpOptions opts;
-  QpWorkspace ws;
-
-  Placement p = nl.snapshot();
-  solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  ASSERT_EQ(ws.stats.pattern_misses, 2u);
-
-  // The previous solve moved essentially every cell, so relinearizing at
-  // the new iterate picks different bounding pins: the pattern comparison
-  // must reject the cache, and the rebuild must match a fresh solve.
-  Placement fresh = p;
-  solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  EXPECT_EQ(ws.stats.pattern_misses, 4u);
-  EXPECT_EQ(ws.stats.pattern_hits, 0u);
-  solve_qp_iteration(nl, vars, fresh, nullptr, opts, nullptr);
-  expect_bitwise_equal(nl, p, fresh);
-}
-
-TEST(QpWorkspace, InvalidatePatternForcesRebuild) {
-  Netlist nl = complx::testing::small_circuit(59, 250);
-  const VarMap vars(nl);
-  const Placement start = nl.snapshot();
-  QpOptions opts;
-  QpWorkspace ws;
-
-  Placement p = start;
-  solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  const Placement first = p;
-  p = start;
-  ws.invalidate_pattern();  // would have hit without this
-  solve_qp_iteration(nl, vars, p, nullptr, opts, &ws);
-  EXPECT_EQ(ws.stats.pattern_misses, 4u);
-  EXPECT_EQ(ws.stats.pattern_hits, 0u);
-  expect_bitwise_equal(nl, p, first);
-}
-
 TEST(QpWorkspace, MultiIterationTrajectoryMatchesFreshBitwise) {
-  // Let the iterate evolve naturally for several iterations (hits and
-  // misses as they come): the workspace path must track the fresh path
-  // bit for bit the whole way.
+  // Let the iterate evolve naturally for several iterations, with anchor
+  // weights growing as λ does: a workspace reused across calls must track
+  // a fresh one bit for bit the whole way.
   Netlist nl = complx::testing::small_circuit(60, 500);
   const VarMap vars(nl);
   QpOptions opts;
   opts.b2b.min_separation = 1.5 * nl.row_height();
   QpWorkspace ws;
-  Placement cached = nl.snapshot();
-  Placement fresh = cached;
+  Placement reused = nl.snapshot();
+  Placement fresh = reused;
+  AnchorSet anchors(nl.num_cells());
+  for (CellId id : nl.movable_cells()) {
+    anchors.target_x[id] = reused.x[id];
+    anchors.target_y[id] = reused.y[id];
+  }
   for (int i = 0; i < 5; ++i) {
-    solve_qp_iteration(nl, vars, cached, nullptr, opts, &ws);
-    solve_qp_iteration(nl, vars, fresh, nullptr, opts, nullptr);
-    expect_bitwise_equal(nl, cached, fresh);
+    for (CellId id : nl.movable_cells())
+      anchors.weight_x[id] = anchors.weight_y[id] = 0.05 * i;
+    solve_qp_iteration(nl, vars, reused, &anchors, opts, &ws);
+    solve_qp_iteration(nl, vars, fresh, &anchors, opts, nullptr);
+    expect_bitwise_equal(nl, reused, fresh);
   }
   EXPECT_EQ(ws.stats.iterations, 5u);
-  EXPECT_EQ(ws.stats.pattern_hits + ws.stats.pattern_misses, 10u);
 }
+
+// ---------------------------------------------------------- active nets ----
+
+TEST(VarMap, PadToPadNetIsNotActive) {
+  Netlist nl;
+  Cell pad;
+  pad.width = pad.height = 0;
+  pad.kind = CellKind::Fixed;
+  const CellId p0 = nl.add_cell(pad, "p0");
+  pad.x = 10;
+  const CellId p1 = nl.add_cell(pad, "p1");
+  Cell c;
+  c.width = c.height = 2;
+  const CellId c0 = nl.add_cell(c, "c0");
+  nl.add_net("pads", 1.0, {{p0, 0, 0}, {p1, 0, 0}});
+  nl.add_net("mixed", 1.0, {{p1, 0, 0}, {c0, 0, 0}});
+  nl.add_net("pads_again", 1.0, {{p1, 0, 0}, {p0, 0, 0}});
+  nl.add_net("inner", 1.0, {{c0, 0, 0}, {c0, 1, 0}, {p0, 0, 0}});
+  nl.set_core({0, 0, 20, 20});
+  nl.finalize();
+  const VarMap vars(nl);
+  EXPECT_EQ(vars.active_nets, (std::vector<NetId>{1, 3}));
+}
+
+/// Flips all but every tenth movable cell to Fixed, the way eco_replace
+/// freezes the cells outside its window.
+Netlist frozen_majority(uint64_t seed, size_t cells) {
+  Netlist nl = complx::testing::small_circuit(seed, cells, 1);
+  const std::vector<CellId> movable = nl.movable_cells();
+  for (size_t k = 0; k < movable.size(); ++k)
+    if (k % 10 != 0) nl.cell(movable[k]).kind = CellKind::Fixed;
+  nl.refinalize();
+  return nl;
+}
+
+void expect_systems_bitwise_equal(const SystemBuilder& a,
+                                  const SystemBuilder& b) {
+  const CsrMatrix ma = a.build_matrix(), mb = b.build_matrix();
+  ASSERT_EQ(ma.row_ptr(), mb.row_ptr());
+  ASSERT_EQ(ma.col(), mb.col());
+  for (size_t k = 0; k < ma.val().size(); ++k)
+    ASSERT_EQ(dbits(ma.val()[k]), dbits(mb.val()[k])) << "val[" << k << "]";
+  ASSERT_EQ(a.rhs().size(), b.rhs().size());
+  for (size_t v = 0; v < a.rhs().size(); ++v)
+    ASSERT_EQ(dbits(a.rhs()[v]), dbits(b.rhs()[v])) << "rhs[" << v << "]";
+}
+
+class ActiveNetSweep : public ::testing::TestWithParam<NetModel> {};
+
+TEST_P(ActiveNetSweep, FrozenMajoritySystemMatchesEveryNetStamp) {
+  // Springs emitted for the active nets only must stamp exactly the system
+  // that stamping every net of the design produces.
+  const Netlist nl = frozen_majority(61, 1500);
+  const VarMap vars(nl);
+  ASSERT_LT(vars.num_vars() * 5, nl.num_cells());
+  ASSERT_LT(vars.active_nets.size() * 2, nl.num_nets());
+  const Placement p = nl.snapshot();
+  B2bOptions opts;
+  opts.min_separation = 1.5 * nl.row_height();
+  for (const Axis axis : {Axis::X, Axis::Y}) {
+    SystemBuilder active(nl, vars, axis, p);
+    SystemBuilder every(nl, vars, axis, p);
+    switch (GetParam()) {
+      case NetModel::B2B: {
+        std::vector<PinSpring> springs;
+        build_b2b(nl, p, axis, opts, vars.active_nets, springs);
+        active.add_pin_springs(springs);
+        every.add_pin_springs(build_b2b(nl, p, axis, opts));
+        break;
+      }
+      case NetModel::Clique: {
+        std::vector<PinSpring> springs;
+        build_clique(nl, p, axis, opts, vars.active_nets, springs);
+        active.add_pin_springs(springs);
+        every.add_pin_springs(build_clique(nl, p, axis, opts));
+        break;
+      }
+      case NetModel::Star: {
+        std::vector<StarSpring> stars;
+        build_star(nl, p, axis, opts, vars.active_nets, stars);
+        active.add_star_springs(stars);
+        every.add_star_springs(build_star(nl, p, axis, opts));
+        break;
+      }
+    }
+    expect_systems_bitwise_equal(active, every);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, ActiveNetSweep,
+                         ::testing::Values(NetModel::B2B, NetModel::Clique,
+                                           NetModel::Star));
 
 }  // namespace
 }  // namespace complx

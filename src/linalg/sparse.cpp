@@ -56,7 +56,8 @@ void CsrMatrix::assemble(const TripletList& t) {
     ++row_ptr_[s.i + 1];
     ++row_ptr_[s.j + 1];
   }
-  std::vector<uint32_t> next(n);
+  next_.resize(n);
+  uint32_t* const next = next_.data();
   size_t raw = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t count = row_ptr_[i + 1];
@@ -83,17 +84,21 @@ void CsrMatrix::assemble(const TripletList& t) {
   // contributions in arrival order; a repeated column (duplicate spring) is
   // summed into the row's last entry, the first contribution assigned.
   // next[r] is now row r's write cursor. The matrix is symmetric, so row
-  // c's pass-1 entries are exactly column c's.
+  // c's pass-1 entries are exactly column c's. diag_[c] records where row
+  // c's diagonal landed; no spring entry ever merges into it.
   col_.resize(row_ptr_[n]);
   val_.resize(row_ptr_[n]);
+  diag_.resize(n);
   for (size_t i = 0; i < n; ++i) next[i] = static_cast<uint32_t>(row_ptr_[i]);
   size_t k = 0;
   for (size_t c = 0; c < n; ++c) {
     const auto col = static_cast<uint32_t>(c);
+    diag_[c] = kNoDiag;
     if (has_diag[c]) {
       const uint32_t o = next[c]++;
       col_[o] = col;
       val_[o] = diag[c];
+      diag_[c] = o;
     }
     const size_t end = k + (row_ptr_[c + 1] - row_ptr_[c] - has_diag[c]);
     for (; k < end; ++k) {
@@ -113,6 +118,8 @@ void CsrMatrix::assemble(const TripletList& t) {
   for (size_t i = 0; i < n; ++i) {
     const size_t begin = row_ptr_[i], len = next[i] - begin;
     row_ptr_[i] = out;
+    if (diag_[i] != kNoDiag)
+      diag_[i] = static_cast<uint32_t>(diag_[i] - begin + out);
     if (begin != out) {
       std::copy_n(col_.begin() + static_cast<ptrdiff_t>(begin), len,
                   col_.begin() + static_cast<ptrdiff_t>(out));
@@ -133,27 +140,14 @@ void CsrMatrix::multiply(const Vec& x, Vec& y) const {
   // Row-parallel: each y[i] is the same left-to-right accumulation as the
   // serial loop, so the result is bitwise identical at any thread count.
   parallel_for(n, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      double s = 0.0;
-      for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)
-        s += val_[k] * x[col_[k]];
-      y[i] = s;
-    }
+    for (size_t i = begin; i < end; ++i) y[i] = row_dot(i, x);
   });
 }
 
 Vec CsrMatrix::diagonal() const {
-  Vec d;
-  diagonal_into(d);
+  Vec d(dim());
+  for (size_t i = 0; i < d.size(); ++i) d[i] = diagonal_at(i);
   return d;
-}
-
-void CsrMatrix::diagonal_into(Vec& d) const {
-  const size_t n = dim();
-  d.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i)
-    for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)
-      if (col_[k] == i) d[i] = val_[k];
 }
 
 double CsrMatrix::at(size_t i, size_t j) const {

@@ -4,7 +4,7 @@
 // TripletList (a diagonal vector plus one 32-bit record per spring), then
 // converts it to CSR once per axis per iteration for the CG solve. Only the
 // operations the placer needs are implemented: assembly, SpMV, diagonal
-// extraction.
+// lookup.
 #pragma once
 
 #include <cstddef>
@@ -110,12 +110,23 @@ class CsrMatrix {
   /// y = A * x
   void multiply(const Vec& x, Vec& y) const;
 
-  /// Returns the diagonal of A (for Jacobi preconditioning).
-  Vec diagonal() const;
+  /// (A * x)[i]: row i's entries accumulated left to right from 0.0, the
+  /// same sum multiply() writes to y[i].
+  double row_dot(size_t i, const Vec& x) const {
+    double s = 0.0;
+    for (size_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)
+      s += val_[k] * x[col_[k]];
+    return s;
+  }
 
-  /// Writes the diagonal into `d` (resized to dim()). Buffer-reusing form
-  /// of diagonal() — no allocation when d already has the capacity.
-  void diagonal_into(Vec& d) const;
+  /// A[i][i], read through the slot assemble() recorded (0 when row i has
+  /// no diagonal entry). O(1), so the Jacobi set-up is O(n), not O(nnz).
+  double diagonal_at(size_t i) const {
+    return diag_[i] == kNoDiag ? 0.0 : val_[diag_[i]];
+  }
+
+  /// Returns the diagonal of A.
+  Vec diagonal() const;
 
   /// Max |A[i][j] - A[j][i]| over sampled entries — exact symmetry check
   /// used by tests (O(nnz log) via lookups).
@@ -129,12 +140,17 @@ class CsrMatrix {
   double at(size_t i, size_t j) const;
 
  private:
+  static constexpr uint32_t kNoDiag = UINT32_MAX;
+
   std::vector<size_t> row_ptr_;
   std::vector<uint32_t> col_;
   std::vector<double> val_;
-  // assemble()'s row-grouped spring entries, kept for their capacity.
+  std::vector<uint32_t> diag_;  ///< entry index of A[i][i], or kNoDiag
+  // assemble()'s scratch, kept for its capacity: the row-grouped spring
+  // entries and the per-row write cursors.
   std::vector<uint32_t> raw_col_;
   std::vector<double> raw_val_;
+  std::vector<uint32_t> next_;
 };
 
 }  // namespace complx

@@ -141,27 +141,28 @@ ProjectionResult LookAheadLegalizer::project(const Placement& p,
   result.timers.grid_build_s = phase.seconds();
   phase.reset();
 
-  // 3. Spreading regions, exclusive mote ownership, per-region spreading.
+  // 3. Spreading regions, exclusive mote ownership, and one mote-pointer
+  //    array grouped by region: region r owns owned[offsets[r],
+  //    offsets[r + 1]), its motes in index order.
   const std::vector<Rect> regions = find_spreading_regions(grid, opts_.gamma);
   const std::vector<size_t> owner = assign_motes_to_regions(regions, motes);
-  std::vector<std::vector<Mote*>> per_region(regions.size());
-  for (size_t k = 0; k < motes.size(); ++k)
-    if (owner[k] != kNoSpreadRegion) per_region[owner[k]].push_back(&motes[k]);
+  std::vector<size_t> offsets(regions.size() + 1, 0);
+  for (size_t r : owner)
+    if (r != kNoSpreadRegion) ++offsets[r + 1];
+  for (size_t r = 0; r < regions.size(); ++r) offsets[r + 1] += offsets[r];
+  std::vector<Mote*> owned(offsets.back());
+  {
+    std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (size_t k = 0; k < motes.size(); ++k)
+      if (owner[k] != kNoSpreadRegion) owned[cursor[owner[k]]++] = &motes[k];
+  }
   result.timers.region_find_s = phase.seconds();
   phase.reset();
 
-  // Regions own disjoint mote lists and each is spread independently, so
-  // chunk=1 lets the pool process whole regions concurrently; the writes
-  // land in disjoint motes and each region's spread is serial internally,
-  // so the result is bitwise identical at any thread count.
-  Spreader spreader(grid, opts_.spreader);
-  parallel_for(
-      regions.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r)
-          spreader.spread(regions[r], per_region[r]);
-      },
-      /*chunk=*/1);
+  // The spreader recurses every region level by level, each level one
+  // parallel region over its nodes; the result is bitwise identical at any
+  // thread count.
+  Spreader(grid, opts_.spreader).spread(regions, offsets, owned);
   result.timers.spread_s = phase.seconds();
   phase.reset();
 

@@ -7,8 +7,8 @@
 #include <algorithm>
 
 #include "core/placer.h"
-#include "density/backend.h"
 #include "density/grid.h"
+#include "density/penalty.h"
 #include "gen/generator.h"
 #include "legal/tetris.h"
 #include "linalg/cg.h"
@@ -217,45 +217,31 @@ void BM_DensityBuild(benchmark::State& state) {
 BENCHMARK(BM_DensityBuild)->Arg(16)->Arg(64)->Arg(256);
 
 // --------------------------------------------------------------------------
-// Density-backend benchmarks: one gradient evaluation per iteration through
-// the DensityBackend interface, spread (bell-smoothed penalty) vs
-// electrostatic (FFT Poisson solve + exact field gradient), plus the cached
-// overflow meter whose per-call grid rebuild was the historical hot-path
-// regression. These back the docs/BENCHMARKS.md density table.
+// Density-penalty benchmarks: one bell-smoothed gradient evaluation per
+// iteration, plus the cached overflow meter whose per-call grid rebuild was
+// the historical hot-path regression. These back the docs/BENCHMARKS.md
+// density table.
 
 void BM_SpreadDensityGrad(benchmark::State& state) {
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const Placement p = nl.snapshot();
-  const auto backend = make_density_backend("spread", nl, {});
+  const DensityPenalty density(nl, {});
   Vec gx, gy;
   for (auto _ : state)
-    benchmark::DoNotOptimize(backend->value_and_grad(p, gx, gy));
+    benchmark::DoNotOptimize(density.value_and_grad(p, gx, gy));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_movable()));
 }
 BENCHMARK(BM_SpreadDensityGrad)->Arg(2000)->Arg(8000)->Arg(32000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ElectrostaticGrad(benchmark::State& state) {
-  const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
-  const Placement p = nl.snapshot();
-  const auto backend = make_density_backend("electrostatic", nl, {});
-  Vec gx, gy;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(backend->value_and_grad(p, gx, gy));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nl.num_movable()));
-}
-BENCHMARK(BM_ElectrostaticGrad)->Arg(2000)->Arg(8000)->Arg(32000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OverflowRatioCached(benchmark::State& state) {
   const Netlist nl = make_circuit(static_cast<size_t>(state.range(0)));
   const Placement p = nl.snapshot();
-  const auto backend = make_density_backend("spread", nl, {});
-  backend->overflow_ratio(p);  // warm the cached grid
+  const DensityPenalty density(nl, {});
+  density.overflow_ratio(p);  // warm the cached grid
   for (auto _ : state)
-    benchmark::DoNotOptimize(backend->overflow_ratio(p));
+    benchmark::DoNotOptimize(density.overflow_ratio(p));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(nl.num_movable()));
 }

@@ -249,9 +249,7 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
     for (int i = 0; i < cfg_.initial_iterations; ++i) primal_step(nullptr);
 
   // --- Projection machinery and grid schedule ----------------------------
-  const std::unique_ptr<ProjectionBackend> lal_ptr =
-      make_projection_backend(cfg_.density_backend, nl_, cfg_.projection);
-  ProjectionBackend& lal = *lal_ptr;
+  LookAheadLegalizer lal(nl_, cfg_.projection);
   const size_t finest = lal.bins_x();
   double bins =
       from_experience
@@ -332,7 +330,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
       result.final_lambda = schedule.lambda();
       result.final_overflow = result.trace.back().overflow_ratio;
       result.health = monitor.stats();
-      result.health.density_clamped_cells = lal.density_clamped_cells();
       fold_workspace_stats();
       result.runtime_s = timer.seconds();
       return result;
@@ -589,7 +586,6 @@ PlaceResult ComplxPlacer::place_impl(const Placement* initial) {
   result.iterations = std::min(k, cfg_.max_iterations);
   result.stop = stop;
   result.health = monitor.stats();
-  result.health.density_clamped_cells = lal.density_clamped_cells();
   fold_workspace_stats();
   result.runtime_s = timer.seconds();
   return result;

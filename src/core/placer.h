@@ -84,11 +84,6 @@ struct ComplxConfig {
   // netlist's target density"; set explicitly to override.
   ProjectionOptions projection;
 
-  // Density / projection backend: "spread" is the paper's cut-based
-  // look-ahead legalization, "electrostatic" the FFT Poisson field model
-  // (projection/backend.h registry; complx_place --density-backend).
-  std::string density_backend = "spread";
-
   ComplxConfig() { projection.gamma = 0.0; }
   /// Grid schedule: start at finest/coarsening_factor bins and refine
   /// geometrically to the finest grid. 1 disables coarsening (the Table 1

@@ -73,7 +73,6 @@ FleetRecord run_fleet_design(const PekoParams& params,
 
   ComplxConfig cfg;
   cfg.max_iterations = opts.max_iterations;
-  cfg.density_backend = opts.density_backend;
   cfg.threads = opts.threads;
   cfg.cancel = opts.cancel;
   if (opts.warm_start) cfg.experience = opts.experience;
@@ -166,12 +165,10 @@ void write_fleet_run_json(const std::string& path, const std::string& label,
   jf(f, "  \"preset\": \"%s\",\n", preset.c_str());
   jf(f,
      "  \"config\": {\"max_iterations\": %d, \"threads\": %zu, "
-     "\"detailed\": %s, \"warm_start\": %s, \"save_experience\": %s, "
-     "\"density_backend\": \"%s\"},\n",
+     "\"detailed\": %s, \"warm_start\": %s, \"save_experience\": %s},\n",
      opts.max_iterations, opts.threads, opts.detailed ? "true" : "false",
      opts.warm_start ? "true" : "false",
-     opts.save_experience ? "true" : "false",
-     opts.density_backend.c_str());
+     opts.save_experience ? "true" : "false");
   jf(f, "  \"designs\": [\n");
   for (size_t k = 0; k < records.size(); ++k) {
     const FleetRecord& r = records[k];

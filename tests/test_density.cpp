@@ -329,7 +329,7 @@ TEST(DensityGrid, NonFiniteCoordinateClampsToValidBin) {
 }
 
 // ---------------------------------------------------------------------------
-// DensityPenalty hot-path regressions (the "spread" DensityBackend)
+// DensityPenalty hot-path regressions
 // ---------------------------------------------------------------------------
 
 TEST(DensityPenalty, OverflowRatioReusesCachedGrid) {

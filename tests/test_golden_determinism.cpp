@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 
+#include "baseline/nonconvex.h"
 #include "core/eco.h"
 #include "core/placer.h"
 #include "density/grid.h"
@@ -149,17 +151,22 @@ TEST(GoldenDeterminism, StaticTimingThreadInvariant) {
 // and active-net emission; any rewrite of the primal step must reproduce
 // them bit for bit, at 1 and 8 threads.
 
-/// FNV-1a over the raw bits of lower_bound and anchors (both axes).
-uint64_t placement_hash(const PlaceResult& r) {
+/// FNV-1a over the raw bits of the given vectors, in order.
+uint64_t vec_hash(std::initializer_list<const Vec*> vecs) {
   uint64_t h = 0xcbf29ce484222325ull;
-  for (const Vec* v : {&r.lower_bound.x, &r.lower_bound.y, &r.anchors.x,
-                       &r.anchors.y}) {
+  for (const Vec* v : vecs) {
     for (const double d : *v) {
       h ^= testing::bits(d);
       h *= 0x100000001b3ull;
     }
   }
   return h;
+}
+
+/// FNV-1a over the raw bits of lower_bound and anchors (both axes).
+uint64_t placement_hash(const PlaceResult& r) {
+  return vec_hash({&r.lower_bound.x, &r.lower_bound.y, &r.anchors.x,
+                   &r.anchors.y});
 }
 
 TEST(GoldenDeterminism, PinnedFlatPlacementHash) {
@@ -171,6 +178,23 @@ TEST(GoldenDeterminism, PinnedFlatPlacementHash) {
     cfg.threads = threads;
     const PlaceResult r = ComplxPlacer(nl, cfg).place();
     EXPECT_EQ(placement_hash(r), 0x66d2db77b399006eull)
+        << threads << " threads";
+  }
+}
+
+// The nonconvex baseline (LSE wirelength + λ_d·cosine-bell density penalty
+// under nonlinear CG), pinned across versions like the ComPLx placer above.
+TEST(GoldenDeterminism, PinnedNonconvexHash) {
+  const Netlist nl = testing::small_circuit(31, 600);
+  ThreadGuard guard;
+  for (const size_t threads : {1u, 8u}) {
+    set_global_threads(threads);
+    NonconvexConfig cfg;
+    cfg.max_rounds = 4;
+    cfg.nlcg_iterations = 20;
+    const NonconvexResult r = NonconvexPlacer(nl, cfg).place();
+    EXPECT_EQ(vec_hash({&r.placement.x, &r.placement.y}),
+              0x215ac648b1725047ull)
         << threads << " threads";
   }
 }
@@ -398,37 +422,6 @@ TEST(GoldenDeterminism, FleetRecordThreadInvariant) {
     EXPECT_EQ(a.iterations, b.iterations) << "run " << k;
     EXPECT_EQ(a.wall_s, 0.0);
     EXPECT_EQ(b.wall_s, 0.0) << "run " << k;
-  }
-}
-
-// --- electrostatic density backend ------------------------------------------
-// The FFT Poisson path (charge deposit, DCT transforms, field readback,
-// diffusion sweeps) must obey the same contract as the spread path: the full
-// placer run is bitwise identical at 1, 2, and 8 threads.
-TEST(GoldenDeterminism, ElectrostaticBackendThreadInvariant) {
-  const Netlist nl = testing::small_circuit(29, 900);
-  ComplxConfig base;
-  base.max_iterations = 15;
-  base.density_backend = "electrostatic";
-  ThreadGuard guard;
-
-  std::vector<PlaceResult> results;
-  for (const size_t threads : {1u, 2u, 8u}) {
-    ComplxConfig cfg = base;
-    cfg.threads = threads;
-    results.push_back(ComplxPlacer(nl, cfg).place());
-  }
-  for (size_t k = 1; k < results.size(); ++k) {
-    EXPECT_EQ(results[0].iterations, results[k].iterations) << "run " << k;
-    EXPECT_EQ(results[0].final_lambda, results[k].final_lambda)
-        << "run " << k;
-    EXPECT_EQ(results[0].final_overflow, results[k].final_overflow)
-        << "run " << k;
-    testing::expect_placements_bitwise_equal(results[0].lower_bound,
-                                             results[k].lower_bound);
-    testing::expect_placements_bitwise_equal(results[0].anchors,
-                                             results[k].anchors);
-    expect_traces_identical(results[0].trace, results[k].trace);
   }
 }
 

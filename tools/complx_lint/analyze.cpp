@@ -1,24 +1,19 @@
 // analyze_sources / analyze_paths: the multi-pass orchestration.
 //
-//   1. per-file pass — parallel over util/parallel's deterministic pool,
-//      each file writing its own result slot (no shared mutable state), a
-//      content-hash cache short-circuiting unchanged files;
+//   1. per-file pass — each file summarized on its own (no shared state);
 //   2. cross-file passes — A1/A2 layering against layers.toml and the T1
-//      determinism taint, always run fresh from the summaries.
+//      determinism taint over the summaries.
 //
-// Findings sort by (file, line, rule) so cold, warm and any-thread-count
-// runs emit byte-identical reports.
+// Findings sort by (file, line, rule) so every run emits byte-identical
+// reports.
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <sstream>
 
-#include "cache.h"
 #include "layers.h"
 #include "lint.h"
 #include "summary.h"
 #include "taint.h"
-#include "util/parallel.h"
 
 namespace complx::lint {
 
@@ -30,12 +25,8 @@ std::string normalized_path(const std::string& path) {
   return p;
 }
 
-std::vector<Finding> run_passes(std::vector<FileSummary> summaries,
-                                const std::vector<std::uint64_t>& hashes,
-                                const AnalyzeOptions& opts,
-                                AnalyzeStats* stats,
-                                std::chrono::steady_clock::time_point t0,
-                                std::size_t cache_hits) {
+std::vector<Finding> run_passes(const std::vector<FileSummary>& summaries,
+                                const AnalyzeOptions& opts) {
   std::vector<Finding> findings;
   for (const FileSummary& s : summaries)
     findings.insert(findings.end(), s.findings.begin(), s.findings.end());
@@ -60,113 +51,39 @@ std::vector<Finding> run_passes(std::vector<FileSummary> summaries,
               if (a.rule != b.rule) return a.rule < b.rule;
               return a.message < b.message;
             });
-
-  if (!opts.cache_path.empty()) {
-    Cache fresh;
-    for (size_t i = 0; i < summaries.size(); ++i) {
-      // In `m[k] = v` the RHS is sequenced first — moving the summary
-      // before reading .path as the key would empty every key.
-      const std::string key = summaries[i].path;
-      fresh[key] = {hashes[i], std::move(summaries[i])};
-    }
-    save_cache(opts.cache_path, fresh);
-  }
-
-  if (stats != nullptr) {
-    stats->files = hashes.size();
-    stats->cache_hits = cache_hits;
-    stats->cache_misses = hashes.size() - cache_hits;
-    stats->analyze_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  }
   return findings;
 }
 
 }  // namespace
 
 std::vector<Finding> analyze_sources(const std::vector<SourceFile>& files,
-                                     const AnalyzeOptions& opts,
-                                     AnalyzeStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (opts.threads > 0) complx::set_global_threads(opts.threads);
-
-  const Cache cache =
-      opts.cache_path.empty() ? Cache{} : load_cache(opts.cache_path);
-
-  const size_t n = files.size();
-  std::vector<FileSummary> summaries(n);
-  std::vector<std::uint64_t> hashes(n, 0);
-  std::vector<unsigned char> hit(n, 0);
-
-  complx::parallel_for(
-      n,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const std::string path = normalized_path(files[i].path);
-          hashes[i] = content_hash(files[i].content);
-          const auto it = cache.find(path);
-          if (it != cache.end() && it->second.hash == hashes[i]) {
-            summaries[i] = it->second.summary;
-            hit[i] = 1;
-          } else {
-            summaries[i] = summarize_source(path, files[i].content);
-          }
-        }
-      },
-      /*chunk=*/1);
-
-  size_t cache_hits = 0;
-  for (unsigned char h : hit) cache_hits += h;
-  return run_passes(std::move(summaries), hashes, opts, stats, t0,
-                    cache_hits);
+                                     const AnalyzeOptions& opts) {
+  std::vector<FileSummary> summaries;
+  summaries.reserve(files.size());
+  for (const SourceFile& f : files)
+    summaries.push_back(summarize_source(normalized_path(f.path), f.content));
+  return run_passes(summaries, opts);
 }
 
 std::vector<Finding> analyze_paths(const std::vector<std::string>& paths,
-                                   const AnalyzeOptions& opts,
-                                   AnalyzeStats* stats) {
-  const auto t0 = std::chrono::steady_clock::now();
-  if (opts.threads > 0) complx::set_global_threads(opts.threads);
-
-  const Cache cache =
-      opts.cache_path.empty() ? Cache{} : load_cache(opts.cache_path);
-
-  const size_t n = paths.size();
-  std::vector<FileSummary> summaries(n);
-  std::vector<std::uint64_t> hashes(n, 0);
-  std::vector<unsigned char> hit(n, 0);
-
-  complx::parallel_for(
-      n,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const std::string path = normalized_path(paths[i]);
-          std::ifstream in(paths[i], std::ios::binary);
-          if (!in) {
-            summaries[i].path = path;
-            summaries[i].findings.push_back(
-                {path, 0, "IO", "cannot read file"});
-            continue;
-          }
-          std::ostringstream buf;
-          buf << in.rdbuf();
-          const std::string content = buf.str();
-          hashes[i] = content_hash(content);
-          const auto it = cache.find(path);
-          if (it != cache.end() && it->second.hash == hashes[i]) {
-            summaries[i] = it->second.summary;
-            hit[i] = 1;
-          } else {
-            summaries[i] = summarize_source(path, content);
-          }
-        }
-      },
-      /*chunk=*/1);
-
-  size_t cache_hits = 0;
-  for (unsigned char h : hit) cache_hits += h;
-  return run_passes(std::move(summaries), hashes, opts, stats, t0,
-                    cache_hits);
+                                   const AnalyzeOptions& opts) {
+  std::vector<FileSummary> summaries;
+  summaries.reserve(paths.size());
+  for (const std::string& raw : paths) {
+    const std::string path = normalized_path(raw);
+    std::ifstream in(raw, std::ios::binary);
+    if (!in) {
+      FileSummary s;
+      s.path = path;
+      s.findings.push_back({path, 0, "IO", "cannot read file"});
+      summaries.push_back(std::move(s));
+      continue;
+    }
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    summaries.push_back(summarize_source(path, buf.str()));
+  }
+  return run_passes(summaries, opts);
 }
 
 }  // namespace complx::lint

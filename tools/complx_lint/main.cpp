@@ -8,7 +8,6 @@
 // Exit codes: 0 clean, 1 findings, 2 usage error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -45,11 +44,7 @@ int usage(const char* argv0) {
       "                  (default: tools/complx_lint/layers.toml under the\n"
       "                  first PATH's repo, when present; --layers none "
       "disables)\n"
-      "  --cache FILE    incremental cache (content-hash keyed, written "
-      "atomically)\n"
       "  --no-taint      skip the cross-file T1 determinism-taint pass\n"
-      "  --threads N     worker threads for the per-file pass\n"
-      "  --stats         print files/cache-hit/timing summary to stderr\n"
       "  --quiet         summary line only\n"
       "  --list-rules    print the rule catalog and exit\n",
       argv0);
@@ -96,10 +91,9 @@ bool write_report(const std::string& path, const std::string& content) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> roots;
-  std::string json_path, sarif_path, layers_path, cache_path;
-  bool quiet = false, stats_out = false, taint = true;
+  std::string json_path, sarif_path, layers_path;
+  bool quiet = false, taint = true;
   bool layers_explicit = false;
-  std::size_t threads = 0;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) return nullptr;
@@ -114,8 +108,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--stats") {
-      stats_out = true;
     } else if (arg == "--no-taint") {
       taint = false;
     } else if (arg == "--json") {
@@ -131,14 +123,6 @@ int main(int argc, char** argv) {
       if (!v) return usage(argv[0]);
       layers_path = v;
       layers_explicit = true;
-    } else if (arg == "--cache") {
-      const char* v = need_value(i);
-      if (!v) return usage(argv[0]);
-      cache_path = v;
-    } else if (arg == "--threads") {
-      const char* v = need_value(i);
-      if (!v) return usage(argv[0]);
-      threads = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -174,8 +158,6 @@ int main(int argc, char** argv) {
 
   complx::lint::AnalyzeOptions opts;
   opts.taint = taint;
-  opts.cache_path = cache_path;
-  opts.threads = threads;
   if (!layers_explicit) layers_path = default_layers_file(roots.front());
   if (!layers_path.empty() && layers_path != "none") {
     std::ifstream in(layers_path, std::ios::binary);
@@ -189,9 +171,7 @@ int main(int argc, char** argv) {
     opts.layers_toml = buf.str();
   }
 
-  complx::lint::AnalyzeStats stats;
-  const std::vector<Finding> all =
-      complx::lint::analyze_paths(files, opts, &stats);
+  const std::vector<Finding> all = complx::lint::analyze_paths(files, opts);
 
   std::map<std::string, size_t> per_rule;
   for (const Finding& f : all) {
@@ -207,14 +187,6 @@ int main(int argc, char** argv) {
   if (!sarif_path.empty() &&
       !write_report(sarif_path, complx::lint::render_sarif(all)))
     return 2;
-
-  if (stats_out) {
-    std::fprintf(stderr,
-                 "complx-lint: stats files=%zu cache_hits=%zu "
-                 "cache_misses=%zu analyze_ms=%.2f\n",
-                 stats.files, stats.cache_hits, stats.cache_misses,
-                 stats.analyze_s * 1e3);
-  }
 
   std::string breakdown;
   for (const auto& [rule, count] : per_rule)

@@ -4,10 +4,8 @@
 // analyzer will ever need again: the per-file findings (already
 // suppression-filtered), the #include edges (with their suppression
 // state, for A1/A2), and the function-level call-graph fragment (for the
-// T1 determinism-taint pass). The summary is what the incremental cache
-// persists: a warm run deserializes summaries for unchanged files instead
-// of re-tokenizing them, and the cross-file passes — which are cheap and
-// depend on the *set* of files — always run fresh.
+// T1 determinism-taint pass). The cross-file passes depend on the *set*
+// of files and run over the summaries once every file is distilled.
 #pragma once
 
 #include <cstddef>

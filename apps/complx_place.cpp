@@ -261,14 +261,24 @@ int main(int argc, char** argv) {
     AutoPlaceResult auto_result = place_auto(nl, cfg, aopts);
     PlaceResult gp = std::move(auto_result.place);
     if (auto_result.used_multilevel) {
-      // The V-cycle has no single solver trace; surface its shape instead
-      // and let the shared reporting below run on the final anchors.
-      gp.anchors = auto_result.anchors;
-      gp.lower_bound = auto_result.anchors;
+      // One line per level's run, coarsest first; the shared reporting
+      // below covers the fine level's run, which produced the anchors.
       std::printf("multilevel: %d level(s),", auto_result.levels);
       for (const size_t cells : auto_result.level_sizes)
         std::printf(" %zu", cells);
       std::printf(" cells, %.1fs\n", auto_result.runtime_s);
+      int level = auto_result.levels;
+      for (const LevelRun& run : auto_result.level_runs) {
+        std::printf("  level %d: %zu cells, %d iterations (%s)\n", level,
+                    run.cells, run.iterations, to_string(run.stop));
+        if (run.stop != StopReason::Converged)
+          std::fprintf(stderr,
+                       "warning: multilevel level %d did not converge "
+                       "(%s)%s%s\n",
+                       level, to_string(run.stop),
+                       run.failed ? ": " : "", run.failure.c_str());
+        --level;
+      }
     }
     if (gp.warm_started)
       std::printf("warm start: resumed from experience store %s\n",

@@ -20,9 +20,11 @@ AutoPlaceResult place_auto(const Netlist& nl, const ComplxConfig& cfg,
     MultilevelPlacer placer(nl, ml);
     MultilevelResult r = placer.place();
     result.anchors = std::move(r.anchors);
+    result.place = std::move(r.fine);
     result.used_multilevel = true;
     result.levels = r.levels;
     result.level_sizes = std::move(r.level_sizes);
+    result.level_runs = std::move(r.runs);
   }
   result.runtime_s = timer.seconds();
   return result;

@@ -20,11 +20,13 @@ struct AutoPlaceResult {
   Placement anchors;
   bool used_multilevel = false;
   int levels = 0;  ///< coarsening levels (0 for the flat path)
-  /// Flat-path solver result (trace, stop reason, λ). Default-constructed
-  /// on the multilevel path — the V-cycle's per-level runs have no single
-  /// PlaceResult; use `anchors` and `level_sizes`.
+  /// Solver result (trace, stop reason, λ) of the run that produced
+  /// `anchors`: the flat run, or the multilevel path's fine-level
+  /// refinement. Earlier levels' outcomes are in `level_runs`.
   PlaceResult place;
   std::vector<size_t> level_sizes;  ///< cells per level (multilevel only)
+  /// Every level's run, coarsest first (multilevel only).
+  std::vector<LevelRun> level_runs;
   double runtime_s = 0.0;
 };
 

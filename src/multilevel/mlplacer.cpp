@@ -1,6 +1,7 @@
 #include "multilevel/mlplacer.h"
 
-#include <memory>
+#include <algorithm>
+#include <utility>
 
 #include "util/timer.h"
 
@@ -32,18 +33,21 @@ MultilevelResult MultilevelPlacer::place() {
   }
   result.levels = static_cast<int>(levels.size());
 
+  // Records a level's outcome; result.fine holds the latest level's run.
+  auto finish_level = [&](const Netlist& level, PlaceResult r) {
+    result.runs.push_back({level.num_cells(), r.iterations, r.stop, r.failed,
+                           r.failure});
+    result.fine = std::move(r);
+  };
+
   // ---- coarsest placement: full ComPLx run --------------------------------
-  ComplxConfig coarse_cfg = cfg_.coarse;
-  Placement placement = [&] {
-    ComplxPlacer placer(*current, coarse_cfg);
-    return placer.place().anchors;
-  }();
+  finish_level(*current, ComplxPlacer(*current, cfg_.coarse).place());
 
   // ---- V-cycle up: interpolate + short warm refinement ---------------------
   for (size_t l = levels.size(); l-- > 0;) {
     const Netlist& fine = l == 0 ? nl_ : levels[l - 1].netlist;
     Placement seeded =
-        interpolate(fine, levels[l].fine_to_coarse, placement);
+        interpolate(fine, levels[l].fine_to_coarse, result.fine.anchors);
 
     // Warm-started refinement: the interpolated placement is already
     // globally spread; a short run re-legalizes density at this level's
@@ -51,11 +55,10 @@ MultilevelResult MultilevelPlacer::place() {
     ComplxConfig refine_cfg = cfg_.coarse;
     refine_cfg.max_iterations = cfg_.refine_iterations;
     refine_cfg.min_iterations = std::min(4, cfg_.refine_iterations);
-    ComplxPlacer placer(fine, refine_cfg);
-    placement = placer.place_from(seeded).anchors;
+    finish_level(fine, ComplxPlacer(fine, refine_cfg).place_from(seeded));
   }
 
-  result.anchors = std::move(placement);
+  result.anchors = result.fine.anchors;
   result.runtime_s = timer.seconds();
   return result;
 }

@@ -9,6 +9,9 @@
 // ComPLx.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "core/placer.h"
 #include "multilevel/cluster.h"
 
@@ -23,11 +26,24 @@ struct MultilevelConfig {
   ClusterOptions clustering;
 };
 
+/// Outcome of one level's ComPLx run.
+struct LevelRun {
+  size_t cells = 0;  ///< cells in the level's netlist
+  int iterations = 0;
+  StopReason stop = StopReason::Converged;
+  bool failed = false;  ///< recovery retries exhausted at this level
+  std::string failure;  ///< the level's failure description (empty when ok)
+};
+
 struct MultilevelResult {
   Placement anchors;      ///< final fine-level anchors
   int levels = 0;         ///< coarsening levels actually used
   double runtime_s = 0.0;
   std::vector<size_t> level_sizes;  ///< cells per level, fine -> coarse
+  /// One entry per ComPLx run, coarsest first; the last is the fine level.
+  std::vector<LevelRun> runs;
+  /// The fine level's full result (trace, solver stats, λ, stop reason).
+  PlaceResult fine;
 };
 
 class MultilevelPlacer {

@@ -28,7 +28,14 @@ struct AnchorSet {
 struct QpOptions {
   NetModel model = NetModel::B2B;
   B2bOptions b2b;
-  CgOptions cg;
+  /// Placement QPs stop at ||r|| <= 1e-4·||b||, not CgOptions' generic
+  /// 1e-6. The primal step minimises L° (Formula 10) against anchors that
+  /// P_C rebuilds at bin resolution every iteration, so accuracy far below
+  /// a bin's worth of displacement cannot change the next step; at 50k
+  /// cells 1e-4 nearly halves the CG iterations per solve. 1e-3 is too loose:
+  /// warm-started ECO windows already meet it before the first CG step
+  /// and stop moving (docs/THEORY.md §"Primal-step accuracy").
+  CgOptions cg{.rel_tolerance = 1e-4};
   /// Clamp solved coordinates into the core area (cells cannot leave the
   /// placement region).
   bool clamp_to_core = true;

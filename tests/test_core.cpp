@@ -169,6 +169,26 @@ TEST(ComplxPlacer, GapCriterionStopsEarlierThanOverflowOnly) {
   EXPECT_LE(a.iterations, b.iterations + 1);
 }
 
+TEST(ComplxPlacer, QpToleranceRuleReachesEverySolve) {
+  // Placement QPs default to rel_tolerance 1e-4 (QpOptions::cg). A run on
+  // the defaults must spend fewer CG iterations than the same run pinned to
+  // the generic 1e-6, in the λ=0 bootstrap alone (max_iterations = 0) and
+  // over the whole primal-dual loop, and every solve must still converge.
+  Netlist nl = complx::testing::small_circuit(86, 1200);
+  for (const int max_iterations : {0, 25}) {
+    ComplxConfig loose = fast_config();
+    loose.max_iterations = max_iterations;
+    ComplxConfig tight = loose;
+    tight.qp.cg.rel_tolerance = 1e-6;
+    const PlaceResult a = ComplxPlacer(nl, loose).place();
+    const PlaceResult b = ComplxPlacer(nl, tight).place();
+    ASSERT_GT(a.solver.solves, 0u) << max_iterations;
+    EXPECT_LT(a.solver.total_cg_iterations, b.solver.total_cg_iterations)
+        << max_iterations << " iterations";
+    EXPECT_EQ(a.solver.nonconverged, 0u) << max_iterations << " iterations";
+  }
+}
+
 TEST(ComplxPlacer, LseModelInstantiationWorks) {
   // "Any interconnect model plugs in": run with the log-sum-exp Φ.
   Netlist nl = complx::testing::small_circuit(85, 400);

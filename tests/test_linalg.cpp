@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "helpers.h"
 #include "linalg/cg.h"
 #include "linalg/sparse.h"
 #include "util/parallel.h"
@@ -179,6 +180,31 @@ TEST(Cg, ZeroRhsGivesZero) {
   // default fields: the x = 0 solution is exact after 0 iterations.
   EXPECT_EQ(res.iterations, 0u);
   EXPECT_DOUBLE_EQ(res.residual_norm, 0.0);
+}
+
+TEST(Cg, WarmStartWithinToleranceIsANoOp) {
+  // An ECO window re-solved from its converged placement: the initial guess
+  // already meets the tolerance, so the solve must cost no iteration and
+  // leave x bitwise as it was.
+  const size_t n = 200;
+  TripletList t(n);
+  for (size_t i = 0; i + 1 < n; ++i) t.add_spring(i, i + 1, 1.0);
+  t.add_diag(0, 1.0);
+  t.add_diag(n - 1, 1.0);
+  const CsrMatrix A = CsrMatrix::from_triplets(t);
+  Vec b(n, 0.0);
+  b[n - 1] = 100.0;
+
+  Vec x(n, 0.0);
+  ASSERT_TRUE(solve_pcg(A, b, x, {.rel_tolerance = 1e-10}).converged);
+  const Vec warm = x;
+  const CgResult res = solve_pcg(A, b, x, {.rel_tolerance = 1e-4});
+  EXPECT_TRUE(res.converged);
+  EXPECT_FALSE(res.breakdown);
+  EXPECT_EQ(res.iterations, 0u);
+  EXPECT_LE(res.residual_norm, 1e-4 * 100.0);
+  for (size_t i = 0; i < n; ++i)
+    ASSERT_EQ(testing::bits(x[i]), testing::bits(warm[i])) << i;
 }
 
 TEST(Cg, MaxIterationExhaustionReportsConsistentResult) {

@@ -138,7 +138,7 @@ TEST(PlaceAuto, FlatPathIsBitwiseThePlainPlacer) {
 TEST(PlaceAuto, ThresholdZeroForcesMultilevel) {
   Netlist nl = complx::testing::small_circuit(416, 3000);
   ComplxConfig cfg;
-  cfg.max_iterations = 15;
+  cfg.max_iterations = 2;
   AutoPlaceOptions opts;
   opts.multilevel_threshold = 0;
   opts.multilevel.coarsest_cells = 800;
@@ -148,6 +148,20 @@ TEST(PlaceAuto, ThresholdZeroForcesMultilevel) {
   ASSERT_GE(r.level_sizes.size(), 2u);
   EXPECT_GT(r.level_sizes.front(), r.level_sizes.back());
   EXPECT_GT(hpwl(nl, r.anchors), 0.0);
+
+  // Two iterations cannot converge: the coarsest level must say so rather
+  // than the result claiming convergence, and `place` must be the fine
+  // level's own run, the one that produced the anchors.
+  ASSERT_EQ(r.level_runs.size(), r.level_sizes.size());
+  EXPECT_EQ(r.level_runs.front().cells, r.level_sizes.back());
+  EXPECT_EQ(r.level_runs.back().cells, nl.num_cells());
+  EXPECT_EQ(r.level_runs.front().iterations, 2);
+  EXPECT_EQ(r.level_runs.front().stop, StopReason::MaxIterations);
+  EXPECT_FALSE(r.level_runs.front().failed);
+  EXPECT_EQ(r.place.iterations, r.level_runs.back().iterations);
+  EXPECT_EQ(r.place.stop, r.level_runs.back().stop);
+  EXPECT_GT(r.place.iterations, 0);
+  testing::expect_placements_bitwise_equal(r.place.anchors, r.anchors);
 }
 
 }  // namespace
